@@ -15,9 +15,23 @@ import numpy as np
 
 from .entropy import EntropyFunctional, spectrum_entropy
 from .measurement import PROB_FLOOR
-from .statekit import PAULI, BipartiteLayout, DensityMatrix, bloch_decompose
+from .statekit import PAULI, BipartiteLayout, DensityMatrix
 
 _2D = np.newaxis
+
+
+def block_spectra(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of Hermitian blocks.
+
+    2x2 blocks [[a, b], [b*, d]] use the closed form
+    ``(a + d)/2 -/+ hypot((a - d)/2, |b|)``; larger ones go to ``eigvalsh``.
+    """
+    if blocks.shape[-1] != 2:
+        return np.linalg.eigvalsh(blocks)
+    a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+    mean = 0.5 * (a + d)
+    radius = np.hypot(0.5 * (a - d), np.abs(blocks[..., 0, 1]))
+    return np.stack([mean - radius, mean + radius], axis=-1)
 
 
 class PairContext:
@@ -35,29 +49,27 @@ class PairContext:
         self.t_ops = np.einsum("aibj,nji->nab", four, PAULI)
         self.r_b = np.einsum("ij,nji->n", self.rho_b, PAULI).real
         self.joint_spectrum = np.linalg.eigvalsh(rho.entries)
-        self._dec = None
-
-    @property
-    def decomposition(self):
-        if self._dec is None:
-            self._dec = bloch_decompose(self.rho, self.layout)
-        return self._dec
 
     def measured_blocks(self, dirs: np.ndarray):
         """Branch probabilities (M, 2) and raw blocks (M, 2, d_a, d_a)."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        delta = np.einsum("mn,nab->mab", dirs, self.t_ops)
-        plus = 0.5 * (self.rho_a[_2D] + delta)
-        minus = 0.5 * (self.rho_a[_2D] - delta)
-        blocks = np.stack([plus, minus], axis=1)
+        m, d_a = len(dirs), self.d_a
+        delta = (dirs @ self.t_ops.reshape(3, -1)).reshape(m, d_a, d_a)
+        blocks = np.empty((m, 2, d_a, d_a), dtype=complex)
+        np.add(self.rho_a, delta, out=blocks[:, 0])
+        np.subtract(self.rho_a, delta, out=blocks[:, 1])
+        blocks *= 0.5
         overlap = dirs @ self.r_b
-        probs = 0.5 * np.stack([1.0 + overlap, 1.0 - overlap], axis=1)
+        probs = np.empty((m, 2))
+        np.add(1.0, overlap, out=probs[:, 0])
+        np.subtract(1.0, overlap, out=probs[:, 1])
+        probs *= 0.5
         return probs, blocks
 
     def conditional_entropy(self, dirs: np.ndarray, functional: EntropyFunctional) -> np.ndarray:
         """sum_s p_s S_f(rho_A|s) for each direction; shape (M,)."""
         probs, blocks = self.measured_blocks(dirs)
-        lams = np.linalg.eigvalsh(blocks)
+        lams = block_spectra(blocks)
         safe = np.where(probs > PROB_FLOOR, probs, 1.0)
         cond = lams / safe[..., _2D]
         s_branch = spectrum_entropy(cond, functional)
@@ -66,17 +78,11 @@ class PairContext:
     def measured_joint_entropy(self, dirs: np.ndarray, functional: EntropyFunctional) -> np.ndarray:
         """S_f of the pinched joint state, from the combined block spectra."""
         _, blocks = self.measured_blocks(dirs)
-        lams = np.linalg.eigvalsh(blocks).reshape(len(blocks), 2 * self.d_a)
+        lams = block_spectra(blocks).reshape(len(blocks), 2 * self.d_a)
         return spectrum_entropy(lams, functional)
-
-    def conditional_entropy_at(self, k: np.ndarray, functional: EntropyFunctional) -> float:
-        return float(self.conditional_entropy(k[_2D], functional)[0])
-
-    def measured_joint_entropy_at(self, k: np.ndarray, functional: EntropyFunctional) -> float:
-        return float(self.measured_joint_entropy(k[_2D], functional)[0])
 
     def measured_power_trace(self, k: np.ndarray, q: float) -> float:
         """Tr[rho'(k)^q] from the block spectra."""
         _, blocks = self.measured_blocks(k[_2D])
-        lams = np.clip(np.linalg.eigvalsh(blocks), 0.0, None)
+        lams = np.clip(block_spectra(blocks), 0.0, None)
         return float((lams**q).sum())

@@ -1,20 +1,33 @@
 """Sphere-search machinery shared by the discord and deficit optimizers.
 
 Objectives here are even in k (k and -k define the same projective
-measurement), so the grid covers the upper hemisphere only.  Refinement runs
-in a local tangent chart around the incumbent, which avoids the polar
-coordinate singularity, and finishes with a few Newton steps on
-finite-difference derivatives so that reported optima are sharp enough for
-stationarity diagnostics.
+measurement), so the grid covers the upper hemisphere only.  Refinement is a
+batched finite-difference Newton method in local tangent charts, which avoid
+the polar coordinate singularity.  Each iteration evaluates a 9-point stencil
+around every active start in one call to the batched objective; the Newton
+steps make reported optima sharp enough for stationarity diagnostics.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import orth
-from scipy.optimize import minimize
+
+#: Stencil half-width in the tangent chart, as a fraction of the trust
+#: radius at the start and then of the step that led to the stencil's
+#: centre, so that it shrinks with the steps; never below FD_STEP_MIN
+#: radians.  Wide early stencils see through rounding noise (q < 1 entropies
+#: of singular blocks) and narrow late ones resolve kinks.
+FD_FRACTION = 0.125
+FD_STEP_MIN = 1e-8
+#: Widest stencil whose derivatives may end a start; this bounds the
+#: finite-difference bias of the final point.
+SETTLE_WIDTH = 2e-4
 
 _GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
+# Unit chart offsets of the 3x3 stencil; row 4 is the centre.
+_STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
+_CENTRE = 4
 
 
 def sphere_grid(grid_theta: int, grid_phi: int) -> np.ndarray:
@@ -34,86 +47,162 @@ def sphere_grid(grid_theta: int, grid_phi: int) -> np.ndarray:
     return k
 
 
-def _tangent_basis(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ref = np.array([0.0, 0.0, 1.0]) if abs(k[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    u = np.cross(ref, k)
-    u /= np.linalg.norm(u)
-    return u, np.cross(k, u)
+def grid_minima(values: np.ndarray, grid_theta: int, grid_phi: int) -> np.ndarray:
+    """Indices of the local minima of values on :func:`sphere_grid`, lowest first.
 
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def _newton_polish(f, k, fk, h=2e-4, rounds=3):
-    """Finite-difference Newton steps in the tangent chart; keeps only improvements."""
-    for _ in range(rounds):
-        u, v = _tangent_basis(k)
-
-        def g(t1, t2):
-            return f(_unit(k + t1 * u + t2 * v))
-
-        gp0, gm0 = g(h, 0.0), g(-h, 0.0)
-        g0p, g0m = g(0.0, h), g(0.0, -h)
-        gpp, gmm = g(h, h), g(-h, -h)
-        gpm, gmp = g(h, -h), g(-h, h)
-        grad = np.array([(gp0 - gm0) / (2 * h), (g0p - g0m) / (2 * h)])
-        h11 = (gp0 - 2 * fk + gm0) / h**2
-        h22 = (g0p - 2 * fk + g0m) / h**2
-        h12 = (gpp - gpm - gmp + gmm) / (4 * h**2)
-        hess = np.array([[h11, h12], [h12, h22]])
-        det = h11 * h22 - h12 * h12
-        if det <= 0.0 or h11 <= 0.0:
-            break
-        step = -np.linalg.solve(hess, grad)
-        norm = np.linalg.norm(step)
-        if norm > 0.05:
-            step *= 0.05 / norm
-        k_new = _unit(k + step[0] * u + step[1] * v)
-        f_new = f(k_new)
-        if f_new <= fk + 1e-14:
-            k, fk = k_new, f_new
-        if norm < 1e-10:
-            break
-    return k, fk
-
-
-def refine_on_sphere(f, k0, step, refine_tol, max_iter):
-    """Two Nelder-Mead passes in tangent charts followed by Newton polish.
-
-    Parameters
-    ----------
-    f : callable
-        Scalar objective of a unit 3-vector.
-    k0 : ndarray
-        Starting direction (best grid point).
-    step : float
-        Initial simplex scale, typically the grid spacing.
+    A point is a minimum if none of its eight grid neighbours is lower.
+    Neighbours across the pole, and across the equator (where k and -k are
+    the same measurement), lie half a turn away in phi; for odd ``grid_phi``
+    that half turn is rounded down to a grid column.  The pole counts once,
+    as a minimum only if it is not above any point of the first ring, and
+    the duplicate half of the equator is dropped.  Ties keep grid order.
     """
-    k = _unit(np.asarray(k0, dtype=float))
-    fk = f(k)
-    for scale in (step, max(step / 50.0, 1e-5)):
-        u, v = _tangent_basis(k)
+    n_t, n_p = grid_theta + 1, grid_phi
+    half = n_p // 2
+    v = np.asarray(values).reshape(n_t, n_p)
+    ext = np.vstack([np.roll(v[1:2], half, axis=1), v, np.roll(v[-2:-1], half, axis=1)])
+    ext = np.hstack([ext[:, -1:], ext, ext[:, :1]])
+    is_min = np.ones(v.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                is_min &= v <= ext[1 + di : 1 + di + n_t, 1 + dj : 1 + dj + n_p]
+    is_min[0, 0] = is_min[0].all()
+    is_min[0, 1:] = False
+    is_min[-1, half:] = False
+    found = np.flatnonzero(is_min)
+    return found[np.argsort(v.ravel()[found], kind="stable")]
 
-        def g(t):
-            return f(_unit(k + t[0] * u + t[1] * v))
 
-        res = minimize(
-            g,
-            np.zeros(2),
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-10,
-                "fatol": refine_tol,
-                "maxiter": max_iter,
-                "maxfev": 4 * max_iter,
-                "initial_simplex": [[0.0, 0.0], [scale, 0.0], [0.0, scale]],
-            },
-        )
-        if res.fun <= fk:
-            k = _unit(k + res.x[0] * u + res.x[1] * v)
-            fk = float(res.fun)
-    return _newton_polish(f, k, fk)
+def _tangent_bases(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent vectors (u, v) at each row of ks.
+
+    u is z x k away from the poles and x x k near them, normalized; v = k x u.
+    """
+    x, y, z = ks.T
+    polar = np.abs(z) >= 0.9
+    zero = np.zeros_like(x)
+    u = np.stack([np.where(polar, zero, -y), np.where(polar, -z, x), np.where(polar, y, zero)], -1)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    v = ks[:, [1, 2, 0]] * u[:, [2, 0, 1]] - ks[:, [2, 0, 1]] * u[:, [1, 2, 0]]
+    return u, v
+
+
+def _chart(ks, u, v, t):
+    """Points normalize(k + t_1 u + t_2 v); t has shape (n, 2) or (n, m, 2)."""
+    if t.ndim == 3:
+        ks, u, v = ks[:, None], u[:, None], v[:, None]
+    p = ks + t[..., :1] * u + t[..., 1:] * v
+    return p / np.linalg.norm(p, axis=-1, keepdims=True)
+
+
+def _derivatives(vals: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central differences from 3x3 stencils of half-width h.
+
+    Returns rows (g_1, g_2, H_11, H_12, H_22) of the local quadratic model.
+    """
+    f = vals.reshape(-1, 3, 3)
+    model = np.empty((len(f), 5))
+    model[:, 0] = f[:, 2, 1] - f[:, 0, 1]
+    model[:, 1] = f[:, 1, 2] - f[:, 1, 0]
+    model[:, :2] /= 2.0 * h[:, None]
+    model[:, 2] = f[:, 2, 1] - 2.0 * f[:, 1, 1] + f[:, 0, 1]
+    model[:, 3] = 0.25 * (f[:, 2, 2] - f[:, 2, 0] - f[:, 0, 2] + f[:, 0, 0])
+    model[:, 4] = f[:, 1, 2] - 2.0 * f[:, 1, 1] + f[:, 1, 0]
+    model[:, 2:] /= (h * h)[:, None]
+    return model
+
+
+def _steps(model, radius):
+    """Trust-region steps (n, 2) and their predicted decreases.
+
+    Newton steps where the Hessian is positive definite, otherwise a step
+    along the negative gradient to the model minimum on that line; both are
+    clipped to the trust radius.
+    """
+    g1, g2, h11, h12, h22 = model.T
+    det = h11 * h22 - h12 * h12
+    newton = (h11 > 0.0) & (det > 0.0)
+    inv_det = 1.0 / np.where(newton, det, 1.0)
+    gg = g1 * g1 + g2 * g2
+    ghg = h11 * g1 * g1 + 2.0 * h12 * g1 * g2 + h22 * g2 * g2
+    line = np.where(ghg > 0.0, gg / np.where(ghg > 0.0, ghg, 1.0), radius / np.sqrt(gg + 1e-300))
+    s1 = np.where(newton, (h12 * g2 - h22 * g1) * inv_det, -line * g1)
+    s2 = np.where(newton, (h12 * g1 - h11 * g2) * inv_det, -line * g2)
+    scale = np.minimum(1.0, radius / np.maximum(np.hypot(s1, s2), 1e-300))
+    s1, s2 = scale * s1, scale * s2
+    pred = -(g1 * s1 + g2 * s2) - 0.5 * (h11 * s1 * s1 + 2.0 * h12 * s1 * s2 + h22 * s2 * s2)
+    return np.stack([s1, s2], -1), pred
+
+
+def minimize_on_sphere(objective, starts, radius, refine_tol, max_iter):
+    """Batched finite-difference Newton descent on the sphere from several starts.
+
+    ``objective`` maps an (M, 3) array of unit vectors to (M,) values.  Each
+    iteration evaluates a 9-point stencil around the pending point of every
+    active start, in one objective call.  The stencil's centre value accepts
+    the pending step if it does not raise the objective; its other points
+    then give the gradient and Hessian for the next step.  A rejected step
+    is retried from the stored derivatives with a quarter of its length as
+    the trust radius; after a second rejection the derivatives are
+    re-estimated on a stencil of that radius, since a kink inside the old
+    stencil can make them point uphill.  The trust radius starts at
+    ``radius`` and doubles, up to ``radius``, after an accepted step that
+    reached it.  A start stops once a step that was predicted to gain less
+    than ``refine_tol`` has been evaluated and did not gain more; steps from
+    stencils wider than :data:`SETTLE_WIDTH` do not count, and steps from
+    stencils at :data:`FD_STEP_MIN` count whatever their prediction.  All
+    starts stop after ``max_iter`` iterations.
+
+    Returns the final directions (n, 3) and values (n,), one per start.
+    """
+    k = np.array(starts, dtype=float, ndmin=2)
+    n = len(k)
+    value = np.full(n, np.inf)
+    u, v, model = np.zeros_like(k), np.zeros_like(k), np.zeros((n, 5))
+    trust, reach = np.full(n, float(radius)), np.zeros(n)
+    pending, pred = k.copy(), np.full(n, np.inf)
+    # Half-width of the pending point's stencil, and of the one at k.
+    width, k_width = FD_FRACTION * trust, np.zeros(n)
+    fails = np.zeros(n, dtype=int)
+    active = np.ones(n, dtype=bool)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        pu, pv = _tangent_bases(pending[idx])
+        points = _chart(pending[idx], pu, pv, width[idx, None, None] * _STENCIL)
+        points[:, _CENTRE] = pending[idx]
+        vals = np.asarray(objective(points.reshape(-1, 3))).reshape(idx.size, 9)
+        # A re-estimate (zero step) is always taken, even if the centre
+        # value differs from the stored one in the last bit.
+        accepted = (vals[:, _CENTRE] <= value[idx]) | (reach[idx] == 0.0)
+        gain = np.where(accepted, value[idx] - vals[:, _CENTRE], 0.0)
+        # At the FD_STEP_MIN floor no finer derivatives exist, so a step from
+        # such a stencil that gains nothing ends the start whatever it predicted.
+        settled = (gain < refine_tol) & (k_width[idx] <= SETTLE_WIDTH)
+        settled &= (pred[idx] < refine_tol) | (k_width[idx] <= FD_STEP_MIN)
+        ok, bad = idx[accepted], idx[~accepted]
+        grown = ok[reach[ok] >= trust[ok]]
+        trust[grown] = np.minimum(2.0 * trust[grown], radius)
+        k[ok], u[ok], v[ok] = pending[ok], pu[accepted], pv[accepted]
+        value[ok] = vals[accepted, _CENTRE]
+        model[ok] = _derivatives(vals[accepted], width[ok])
+        k_width[ok] = width[ok]
+        fails[ok] = 0
+        fails[bad] += 1
+        trust[bad] = 0.25 * reach[bad]
+        active[idx[settled]] = False
+
+        fresh = np.flatnonzero(active & (fails >= 2))
+        pending[fresh], reach[fresh], pred[fresh] = k[fresh], 0.0, np.inf
+        width[fresh] = np.maximum(trust[fresh], FD_STEP_MIN)
+        idx = np.flatnonzero(active & (fails < 2))
+        step, pred[idx] = _steps(model[idx], trust[idx])
+        reach[idx] = np.linalg.norm(step, axis=-1)
+        width[idx] = np.maximum(FD_FRACTION * reach[idx], FD_STEP_MIN)
+        pending[idx] = _chart(k[idx], u[idx], v[idx], step)
+    return k, value
 
 
 def dominant_direction(candidates: np.ndarray) -> np.ndarray:

@@ -115,15 +115,11 @@ def deficit(
     functional: EntropyFunctional,
     cfg: SearchConfig | None = None,
 ) -> DeficitResult:
-    """Minimize S_f(rho'(k)) - S_f(rho) by grid search plus refinement."""
+    """Minimize S_f(rho'(k)) - S_f(rho) by grid search plus Newton refinement."""
     cfg = cfg or DEFAULT_SEARCH
     ctx = PairContext(rho, layout)
     base = float(spectrum_entropy(ctx.joint_spectrum, functional))
-    k, val = _grid_refine(
-        lambda dirs: ctx.measured_joint_entropy(dirs, functional),
-        lambda kk: ctx.measured_joint_entropy_at(kk, functional),
-        cfg,
-    )
+    k, val = _grid_refine(lambda dirs: ctx.measured_joint_entropy(dirs, functional), cfg=cfg)
     return _deficit_result(rho, layout, val - base, k, GRID_REFINE, functional)
 
 

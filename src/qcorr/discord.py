@@ -8,12 +8,14 @@ conditional entropies, minimized over projective measurements on the qubit B:
 It vanishes exactly on states that are invariant under measurement in some
 basis and reduces to the entanglement entropy on pure states.
 
-The generic minimization runs an exhaustive direction grid followed by local
-simplex refinement.  For the quadratic entropy the minimum has a closed form:
-the purity gain is a ratio of quadratic forms in k, maximized by the top
-eigenvector of the pencil ``corr^T corr k = lam (I - r_b r_b^T) k``, which is
-solved here through the whitened tensor ``C_N = corr (I - r_b r_b^T)^(-1/2)``
-and its largest singular value.  The same singular structure defines the
+The generic minimization evaluates an exhaustive hemisphere grid, then
+refines its lowest few local minima together with a batched finite-difference
+Newton method in tangent charts; the lowest refined minimum wins.  For the
+quadratic entropy the minimum has a closed form: the purity gain is a ratio
+of quadratic forms in k, maximized by the top eigenvector of the pencil
+``corr^T corr k = lam (I - r_b r_b^T) k``, which is solved here through the
+whitened tensor ``C_N = corr (I - r_b r_b^T)^(-1/2)`` and its largest
+singular value.  The same singular structure defines the
 correlation ellipsoid traced by the post-measurement Bloch vectors of A.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pairstate import PairContext
-from ._sphere import dominant_direction, refine_on_sphere, sphere_grid
+from ._sphere import dominant_direction, grid_minima, minimize_on_sphere, sphere_grid
 from .entropy import FAMILY_VON_NEUMANN, VON_NEUMANN, EntropyFunctional, entropy
 from .measurement import MeasurementDirection
 from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose, partial_trace
@@ -39,11 +41,26 @@ DEGENERATE_MARGINAL_TOL = 1e-9
 TIE_TOL = 1e-10
 #: Singular values of the marginal metric dropped by the pseudo-inverse root.
 PINV_CUTOFF = 1e-9
+#: Lowest grid local minima refined together.  Competing basins can lie
+#: closer than the grid's discretization error (in a tilted field, where the
+#: discord direction hands over from the xz plane to the y axis, two lie
+#: within 1.4e-6), so refining the grid argmin alone is not enough.
+REFINE_STARTS = 4
+#: Refined minima within this of the lowest are ties, resolved in favour of
+#: the lowest grid start, so that symmetric basins are reported stably.
+BASIN_TIE = 1e-13
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid resolution and refinement controls for the sphere search."""
+    """Grid resolution and refinement controls for the sphere search.
+
+    The hemisphere grid has ``grid_theta + 1`` polar rows of ``grid_phi``
+    azimuths.  Refinement stops a start once a step predicted to gain less
+    than ``refine_tol`` has been evaluated and gained no more, and runs at
+    most ``refine_max_iter`` iterations of one batched objective call each
+    (see :func:`qcorr._sphere.minimize_on_sphere`).
+    """
 
     grid_theta: int = 60
     grid_phi: int = 120
@@ -110,18 +127,25 @@ def _result(value, k_vec, method, residual=None, degenerate=False) -> Optimizati
     )
 
 
-def _grid_refine(batch_objective, scalar_objective, cfg: SearchConfig):
-    """Exhaustive hemisphere grid followed by local refinement."""
+def _grid_refine(objective, cfg: SearchConfig):
+    """Hemisphere grid, then Newton refinement of its lowest local minima.
+
+    ``objective`` maps an (M, 3) array of directions to (M,) values.  Up to
+    :data:`REFINE_STARTS` grid minima are refined together, with the grid
+    spacing as initial trust radius; the result is never worse than the
+    grid minimum.
+    """
     grid = sphere_grid(cfg.grid_theta, cfg.grid_phi)
-    values = batch_objective(grid)
-    best = int(np.argmin(values))
+    values = objective(grid)
+    starts = grid_minima(values, cfg.grid_theta, cfg.grid_phi)[:REFINE_STARTS]
     step = max(0.5 * np.pi / cfg.grid_theta, 2.0 * np.pi / cfg.grid_phi)
-    k, val = refine_on_sphere(
-        scalar_objective, grid[best], step, cfg.refine_tol, cfg.refine_max_iter
+    ks, vals = minimize_on_sphere(
+        objective, grid[starts], step, cfg.refine_tol, cfg.refine_max_iter
     )
-    if values[best] < val:
-        k, val = grid[best], float(values[best])
-    return k, val
+    best = int(np.flatnonzero(vals <= vals.min() + BASIN_TIE)[0])
+    if values[starts[0]] < vals[best]:
+        return grid[starts[0]], float(values[starts[0]])
+    return ks[best], float(vals[best])
 
 
 def conditional_entropy_min(
@@ -137,11 +161,7 @@ def conditional_entropy_min(
     """
     cfg = cfg or DEFAULT_SEARCH
     ctx = PairContext(rho, layout)
-    k, val = _grid_refine(
-        lambda dirs: ctx.conditional_entropy(dirs, functional),
-        lambda kk: ctx.conditional_entropy_at(kk, functional),
-        cfg,
-    )
+    k, val = _grid_refine(lambda dirs: ctx.conditional_entropy(dirs, functional), cfg=cfg)
     residual = None
     if functional.family == FAMILY_VON_NEUMANN:
         from .deficit import stationarity_residual

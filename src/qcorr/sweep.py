@@ -229,6 +229,20 @@ def measure_state(
     raise ValueError(f"unknown measure {measure!r}")
 
 
+def _pair_cells(pair: DensityMatrix, measures, search: SearchConfig | None) -> dict:
+    """Requested measures of one pair; concurrence and eof share one EoF evaluation."""
+    cells = {}
+    ent = None
+    for m in measures:
+        if m in ("concurrence", "eof"):
+            if ent is None:
+                ent = entanglement_of_formation(pair)
+            cells[m] = MeasureCell(getattr(ent, m))
+        else:
+            cells[m] = measure_state(pair, m, search)
+    return cells
+
+
 def pair_observables(
     gs: GroundState,
     i: int,
@@ -238,7 +252,7 @@ def pair_observables(
 ) -> PairObservables:
     """Reduced pair state of a ground state with all requested measures."""
     pair = reduced_pair(gs, i, j)
-    cells = {m: measure_state(pair, m, search) for m in measures}
+    cells = _pair_cells(pair, measures, search)
     return PairObservables(rho_pair=pair, separation=j - i, measures=cells)
 
 
@@ -260,9 +274,8 @@ def _rows_for_point_inner(cfg: SweepConfig, value: float) -> list[SweepRow]:
     for branch, state in branches:
         cells = {}
         for sep in cfg.separations:
-            pair = reduced_pair(state, 0, sep)
-            for measure in cfg.measures:
-                cells[(sep, measure)] = measure_state(pair, measure, cfg.search)
+            pair_cells = _pair_cells(reduced_pair(state, 0, sep), cfg.measures, cfg.search)
+            cells.update(((sep, m), cell) for m, cell in pair_cells.items())
         rows.append(
             SweepRow(
                 variable_value=value,

@@ -121,6 +121,15 @@ class TestGroundState:
         signs[odd] = -1.0
         assert np.linalg.norm(signs * gs.vector - gs.parity * gs.vector) < 1e-9
 
+    def test_sparse_solve_is_repeatable(self):
+        # N = 14 tilted fields take the Lanczos route; its fixed start vector
+        # makes repeated solves, and so sweep output, bit-for-bit identical.
+        g = np.deg2rad(30.0)
+        spec = SpinChainSpec(n_sites=14, j_x=1.0, chi=0.5, field=(np.sin(g), 0.0, np.cos(g)))
+        first, second = ground_state(spec), ground_state(spec)
+        assert first.energy == second.energy
+        assert np.array_equal(first.vector, second.vector)
+
 
 class TestParityCrossings:
     def test_n6_crossing_count_and_last(self):
