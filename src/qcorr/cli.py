@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    qcorr sweep --config cfg.json [--out table.csv] [--threads N]
+    qcorr sweep --config cfg.json [--out table.csv]
     qcorr limits --chi 0.5 --n 8
     qcorr measure --state state.json --measure D
 
@@ -19,6 +19,7 @@ import sys
 from dataclasses import replace
 
 from .errors import QcorrError, SweepConfigError
+from .spinchain import MAX_SITES
 from .statekit import BipartiteLayout, from_json
 from .sweep import ALL_MEASURES, load_config, measure_state, render_csv, report_limits, run_sweep
 
@@ -37,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a field sweep from a JSON configuration")
     p_sweep.add_argument("--config", required=True, help="path to the JSON sweep configuration")
     p_sweep.add_argument("--out", help="CSV output path (overrides the config)")
-    p_sweep.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
     p_limits = sub.add_parser(
         "limits", help="reference pair measures at the transverse factorizing field"
@@ -55,7 +55,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.out:
         cfg = replace(cfg, output=args.out)
-    rows = run_sweep(cfg, threads=max(1, args.threads))
+    rows = run_sweep(cfg)
     if cfg.output:
         print(f"wrote {len(rows)} rows to {cfg.output}")
     else:
@@ -66,8 +66,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_limits(args) -> int:
     if not 0.0 < args.chi <= 1.0:
         raise SweepConfigError(f"chi must be in (0, 1], got {args.chi}")
-    if args.n < 2:
-        raise SweepConfigError(f"n must be at least 2, got {args.n}")
+    if not 2 <= args.n <= MAX_SITES:
+        raise SweepConfigError(f"n must be in 2..{MAX_SITES}, got {args.n}")
     print(json.dumps(report_limits(args.chi, args.n), indent=2))
     return EXIT_OK
 

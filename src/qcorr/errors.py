@@ -34,7 +34,7 @@ class UnsupportedFamily(QcorrError):
 
 
 class TooLarge(QcorrError):
-    """Chain too large for dense diagonalization."""
+    """Chain longer than the exact-diagonalization cap (``spinchain.MAX_SITES``)."""
 
 
 class IndexOutOfRange(QcorrError):

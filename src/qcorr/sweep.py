@@ -16,7 +16,6 @@ measurement; angles are reported in radians with 12 significant digits.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .discord import SearchConfig, discord, quadratic_closed_form
 from .entropy import VON_NEUMANN, entanglement_of_formation
 from .errors import QcorrError, SweepConfigError
 from .spinchain import (
+    MAX_SITES,
     GroundState,
     PairObservables,
     SpinChainSpec,
@@ -130,8 +130,8 @@ def parse_config(payload: dict) -> SweepConfig:
         points = int(sweep["points"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SweepConfigError(f"bad chain/sweep section: {exc}") from None
-    if not 2 <= n_sites <= 14:
-        raise SweepConfigError(f"n_sites must be in 2..14, got {n_sites}")
+    if not 2 <= n_sites <= MAX_SITES:
+        raise SweepConfigError(f"n_sites must be in 2..{MAX_SITES}, got {n_sites}")
     if variable not in SWEEP_VARIABLES:
         raise SweepConfigError(f"sweep variable must be one of {SWEEP_VARIABLES}")
     if points < 2:
@@ -314,20 +314,10 @@ def render_csv(cfg: SweepConfig, rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[SweepRow]:
-    """Run the sweep, optionally writing the CSV declared in the config.
-
-    Sweep points are independent; with ``threads > 1`` they are evaluated by
-    a bounded worker pool and re-assembled in sweep order, so the output is
-    identical to the serial run.
-    """
+def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
+    """Run the sweep, optionally writing the CSV declared in the config."""
     values = np.linspace(cfg.start, cfg.stop, cfg.points)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda v: _rows_for_point(cfg, float(v)), values))
-    else:
-        chunks = [_rows_for_point(cfg, float(v)) for v in values]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for v in values for row in _rows_for_point(cfg, float(v))]
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as handle:
             handle.write(render_csv(cfg, rows))

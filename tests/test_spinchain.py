@@ -121,14 +121,48 @@ class TestGroundState:
         signs[odd] = -1.0
         assert np.linalg.norm(signs * gs.vector - gs.parity * gs.vector) < 1e-9
 
-    def test_sparse_solve_is_repeatable(self):
-        # N = 14 tilted fields take the Lanczos route; its fixed start vector
-        # makes repeated solves, and so sweep output, bit-for-bit identical.
-        g = np.deg2rad(30.0)
-        spec = SpinChainSpec(n_sites=14, j_x=1.0, chi=0.5, field=(np.sin(g), 0.0, np.cos(g)))
+    @pytest.mark.parametrize(
+        "n, field",
+        [
+            (14, (np.sin(np.deg2rad(30.0)), 0.0, np.cos(np.deg2rad(30.0)))),
+            (12, (0.0, 0.0, 0.4)),
+        ],
+        ids=["n14-tilted", "n12-transverse"],
+    )
+    def test_sparse_solve_is_repeatable(self, n, field):
+        # The N = 14 tilted matrix and the N = 12 parity blocks take the
+        # Lanczos route; its fixed start vector makes repeated solves, and so
+        # sweep output, bit-for-bit identical.
+        spec = SpinChainSpec(n_sites=n, j_x=1.0, chi=0.5, field=field)
         first, second = ground_state(spec), ground_state(spec)
         assert first.energy == second.energy
         assert np.array_equal(first.vector, second.vector)
+
+    def test_lanczos_blocks_match_dense(self):
+        # N = 10 parity blocks (dimension 512) take the Lanczos route.
+        n = 10
+        spec = SpinChainSpec(n_sites=n, j_x=1.0, chi=0.37, field=(0.0, 0.0, 0.45))
+        gs = ground_state(spec)
+        ham = build_hamiltonian(spec)
+        assert abs(gs.energy - np.linalg.eigh(ham)[0][0]) < 1e-10
+        resid = np.linalg.norm(ham @ gs.vector - gs.energy * gs.vector)
+        assert resid < 1e-9 * np.abs(ham).sum(axis=1).max()
+        even, odd = parity_sectors(n)
+        signs = np.empty(1 << n)
+        signs[even] = 1.0
+        signs[odd] = -1.0
+        assert gs.parity in (1, -1)
+        assert np.linalg.norm(signs * gs.vector - gs.parity * gs.vector) < 1e-9
+
+    def test_lanczos_side_limits_at_factorizing_field(self):
+        n = 12
+        spec = SpinChainSpec(n_sites=n, j_x=1.0, chi=0.5, field=(0.0, 0.0, np.sqrt(0.5)))
+        gs = ground_state(spec)
+        assert gs.degenerate
+        plus, minus = gs.side_limits
+        c_plus, c_minus = concurrence_side_limits(0.5, n)
+        assert abs(concurrence(reduced_pair(plus, 0, 1)) - c_plus) < 1e-9
+        assert abs(concurrence(reduced_pair(minus, 0, 1)) - c_minus) < 1e-9
 
 
 class TestParityCrossings:
@@ -139,8 +173,9 @@ class TestParityCrossings:
         assert len(crossings) == 3
         assert abs(crossings[-1] - np.sqrt(0.5)) < 1e-4
 
-    def test_sector_energies_split(self):
-        spec = SpinChainSpec(n_sites=6, j_x=1.0, chi=0.5, field=(0.0, 0.0, 0.2))
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_sector_energies_split(self, n):
+        spec = SpinChainSpec(n_sites=n, j_x=1.0, chi=0.5, field=(0.0, 0.0, 0.2))
         e_even, e_odd = parity_sector_energies(spec)
         gs = ground_state(spec)
         assert abs(min(e_even, e_odd) - gs.energy) < 1e-12

@@ -110,12 +110,6 @@ class TestRunSweep:
         second = render_csv(cfg, run_sweep(cfg))
         assert first == second
 
-    def test_threaded_matches_serial(self):
-        cfg = parse_config(base_config(measures=["I2", "eof"]))
-        serial = render_csv(cfg, run_sweep(cfg, threads=1))
-        threaded = render_csv(cfg, run_sweep(cfg, threads=4))
-        assert serial == threaded
-
     def test_csv_header_names(self):
         cfg = parse_config(base_config(measures=["I2", "concurrence"]))
         header = render_csv(cfg, run_sweep(cfg)).splitlines()[0].split(",")
@@ -248,6 +242,10 @@ class TestCli:
 
     def test_limits_bad_chi(self, capsys):
         assert main(["limits", "--chi", "1.5", "--n", "8"]) == 2
+
+    def test_limits_too_many_sites(self, capsys):
+        assert main(["limits", "--chi", "0.5", "--n", "15"]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
