@@ -40,9 +40,9 @@ print("\ndeficits and their optimizers:")
 i1 = deficit(rho, layout, VON_NEUMANN)
 i2 = quadratic_deficit_closed(rho, layout)
 print(f"  I1  = {i1.value:.6f}  k* = {np.round(i1.k_star.k, 4)}  "
-      f"residual = {i1.stationarity_residual:.1e}")
+      f"residual = {i1.residual:.1e}")
 print(f"  I2  = {i2.value:.6f}  k* = {np.round(i2.k_star.k, 4)}  "
-      f"residual = {i2.stationarity_residual:.1e}  (closed form)")
+      f"residual = {i2.residual:.1e}  (closed form)")
 for q in (0.5, 2.0, 3.0):
     iq = deficit(rho, layout, tsallis(q))
     rq = renyi_deficit(rho, layout, q)

@@ -10,7 +10,6 @@ magnetic fields.
 from . import errors
 from .deficit import (
     DeficitMatrix,
-    DeficitResult,
     deficit,
     deficit_matrix,
     quadratic_deficit_closed,

@@ -80,9 +80,3 @@ class PairContext:
         _, blocks = self.measured_blocks(dirs)
         lams = block_spectra(blocks).reshape(len(blocks), 2 * self.d_a)
         return spectrum_entropy(lams, functional)
-
-    def measured_power_trace(self, k: np.ndarray, q: float) -> float:
-        """Tr[rho'(k)^q] from the block spectra."""
-        _, blocks = self.measured_blocks(k[_2D])
-        lams = np.clip(block_spectra(blocks), 0.0, None)
-        return float((lams**q).sum())

@@ -84,9 +84,16 @@ def _cmd_measure(args) -> int:
         raise SweepConfigError(f"state file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
         raise SweepConfigError("state JSON must contain 'dim' and 'entries'")
-    if int(payload["dim"]) % 2 != 0:
+    try:
+        dim = int(payload["dim"])
+    except (TypeError, ValueError) as exc:
+        raise SweepConfigError(f"bad state dimension: {exc}") from None
+    if dim % 2 != 0:
         raise SweepConfigError("state dimension must be even (side B is a qubit)")
-    rho = from_json(text)
+    try:
+        rho = from_json(text)
+    except (TypeError, ValueError) as exc:
+        raise SweepConfigError(f"bad state entries: {exc}") from None
     d_a = rho.dim // 2
     if d_a != 2 and args.measure in ("concurrence", "eof"):
         raise SweepConfigError(f"{args.measure} requires a two-qubit state")

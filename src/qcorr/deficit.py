@@ -13,8 +13,10 @@ form: with the cross-moment tensor J and the B Bloch vector r_b,
     I_2 = (tr M - lam_max(M)) / d_a,   M = r_b r_b^T + J^T J,
 
 minimized by the dominant eigenvector of M, the least disturbing direction.
-Renyi deficits share the Tsallis optimizer at the same q and only transform
-the reported value.
+Renyi deficits share the Tsallis optimizer at the same q; their value is a
+function of the Tsallis deficit there, so no second evaluation is needed.
+Every minimization returns a :class:`qcorr.discord.OptimizationResult`
+whose ``residual`` is the stationarity residual below.
 
 Optimality of a direction is checked through the commutator residual
 ``Tr_A [f'(rho'), rho]``, which vanishes at stationary points; the discord
@@ -23,7 +25,7 @@ variant adds the marginal correction ``[log2 rho'_B, rho_B]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +36,9 @@ from .discord import (
     DEFAULT_SEARCH,
     GRID_REFINE,
     TIE_TOL,
+    OptimizationResult,
     SearchConfig,
+    _clip_noise,
     _grid_refine,
 )
 from .entropy import (
@@ -46,23 +50,11 @@ from .entropy import (
     spectrum_entropy,
     tsallis,
 )
-from .errors import InvalidQ, UnsupportedFamily
+from .errors import UnsupportedFamily
 from .measurement import MeasurementDirection, unread_state
 from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose, partial_trace
 
 _LOG_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class DeficitResult:
-    """Outcome of a deficit minimization."""
-
-    value: float
-    k_star: MeasurementDirection
-    theta: float
-    phi: float
-    method: str
-    stationarity_residual: float
 
 
 @dataclass(frozen=True)
@@ -88,25 +80,13 @@ def deficit_matrix(rho: DensityMatrix, layout: BipartiteLayout) -> DeficitMatrix
     return DeficitMatrix(matrix=m, lambda_max=float(lams[-1]), trace=float(np.trace(m)))
 
 
-def _deficit_result(rho, layout, value, k_vec, method, functional) -> DeficitResult:
+def _deficit_result(rho, layout, value, k_vec, method, functional) -> OptimizationResult:
     kd = MeasurementDirection(k_vec)
     if functional.family == FAMILY_RENYI:
         # Same stationary points as the Tsallis family at equal q.
-        res_functional = tsallis(functional.q)
-    else:
-        res_functional = functional
-    residual = stationarity_residual(rho, layout, kd, res_functional, mode="deficit")
-    value = float(value)
-    if value < 0.0:
-        value = 0.0 if value > -1e-9 else value
-    return DeficitResult(
-        value=value,
-        k_star=kd,
-        theta=kd.theta,
-        phi=kd.phi,
-        method=method,
-        stationarity_residual=residual,
-    )
+        functional = tsallis(functional.q)
+    residual = stationarity_residual(rho, layout, kd, functional, mode="deficit")
+    return OptimizationResult(_clip_noise(value), kd, method, residual)
 
 
 def deficit(
@@ -114,7 +94,7 @@ def deficit(
     layout: BipartiteLayout,
     functional: EntropyFunctional,
     cfg: SearchConfig | None = None,
-) -> DeficitResult:
+) -> OptimizationResult:
     """Minimize S_f(rho'(k)) - S_f(rho) by grid search plus Newton refinement."""
     cfg = cfg or DEFAULT_SEARCH
     ctx = PairContext(rho, layout)
@@ -123,7 +103,7 @@ def deficit(
     return _deficit_result(rho, layout, val - base, k, GRID_REFINE, functional)
 
 
-def quadratic_deficit_closed(rho: DensityMatrix, layout: BipartiteLayout) -> DeficitResult:
+def quadratic_deficit_closed(rho: DensityMatrix, layout: BipartiteLayout) -> OptimizationResult:
     """Closed-form quadratic deficit from the dominant eigenvector of M.
 
     At an exact eigenvalue tie the reported direction maximizes |k_z| and
@@ -142,33 +122,22 @@ def renyi_deficit(
     layout: BipartiteLayout,
     q: float,
     cfg: SearchConfig | None = None,
-) -> DeficitResult:
+) -> OptimizationResult:
     """Renyi-q deficit: min_k log2(Tr rho'^q / Tr rho^q) / (1 - q).
 
-    The optimizer is exactly the Tsallis-q one (closed form at q = 2); only
-    the value is transformed.
+    The optimizer is exactly the Tsallis-q one (closed form at q = 2), and
+    the value follows from the Tsallis deficit I_q at that optimizer:
+    ``Tr rho'^q = Tr rho^q - (1 - 2^(1-q)) I_q``.
     """
-    q = float(q)
-    if q <= 0.0 or q == 1.0:
-        raise InvalidQ(f"q must be positive and different from 1, got {q}")
+    functional = tsallis(q)
+    q = functional.q
     if q == 2.0:
         inner = quadratic_deficit_closed(rho, layout)
     else:
-        inner = deficit(rho, layout, tsallis(q), cfg)
-    ctx = PairContext(rho, layout)
-    power_after = ctx.measured_power_trace(inner.k_star.k, q)
-    power_before = float((np.clip(ctx.joint_spectrum, 0.0, None) ** q).sum())
-    value = np.log2(max(power_after, _LOG_FLOOR) / max(power_before, _LOG_FLOOR)) / (1.0 - q)
-    if value < 0.0:
-        value = 0.0 if value > -1e-9 else float(value)
-    return DeficitResult(
-        value=float(value),
-        k_star=inner.k_star,
-        theta=inner.theta,
-        phi=inner.phi,
-        method=inner.method,
-        stationarity_residual=inner.stationarity_residual,
-    )
+        inner = deficit(rho, layout, functional, cfg)
+    power_before = float((np.clip(np.linalg.eigvalsh(rho.entries), 0.0, None) ** q).sum())
+    power_after = power_before - (1.0 - 2.0 ** (1.0 - q)) * inner.value
+    return replace(inner, value=_clip_noise(np.log2(power_after / power_before) / (1.0 - q)))
 
 
 def _log2_matrix(mat: np.ndarray) -> np.ndarray:

@@ -8,6 +8,11 @@ conditional entropies, minimized over projective measurements on the qubit B:
 It vanishes exactly on states that are invariant under measurement in some
 basis and reduces to the entanglement entropy on pure states.
 
+Every optimized measure of the package, here and in :mod:`qcorr.deficit`,
+returns an :class:`OptimizationResult`: the value, the minimizing direction
+``k_star`` (with ``theta`` and ``phi`` read from it), the method and a
+stationarity residual.
+
 The generic minimization evaluates an exhaustive hemisphere grid, then
 refines its lowest few local minima together with a batched finite-difference
 Newton method in tangent charts; the lowest refined minimum wins.  For the
@@ -21,7 +26,7 @@ correlation ellipsoid traced by the post-measurement Bloch vectors of A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,21 +84,29 @@ DEFAULT_SEARCH = SearchConfig()
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of a measurement optimization.
+    """Outcome of a measurement optimization: discord, conditional entropy or deficit.
 
     ``residual`` is a stationarity diagnostic: for grid-refined von Neumann
-    objectives it is the commutator residual of the optimality condition, for
-    the closed form it is the generalized-eigenproblem defect.  It is None
-    when no diagnostic is defined for the family.
+    conditional entropies and for every deficit it is the commutator
+    residual of the optimality condition (see
+    :func:`qcorr.deficit.stationarity_residual`), for the closed-form
+    conditional entropy it is the generalized-eigenproblem defect.  It is
+    None when no diagnostic is defined for the family.
     """
 
     value: float
     k_star: MeasurementDirection
-    theta: float
-    phi: float
     method: str
     residual: float | None = None
     degenerate_marginal: bool = False
+
+    @property
+    def theta(self) -> float:
+        return self.k_star.theta
+
+    @property
+    def phi(self) -> float:
+        return self.k_star.phi
 
 
 @dataclass(frozen=True)
@@ -116,15 +129,12 @@ class CorrelationEllipsoid:
 
 def _result(value, k_vec, method, residual=None, degenerate=False) -> OptimizationResult:
     kd = MeasurementDirection(k_vec)
-    return OptimizationResult(
-        value=float(value),
-        k_star=kd,
-        theta=kd.theta,
-        phi=kd.phi,
-        method=method,
-        residual=residual,
-        degenerate_marginal=degenerate,
-    )
+    return OptimizationResult(float(value), kd, method, residual, degenerate)
+
+
+def _clip_noise(value: float) -> float:
+    """Value of a nonnegative measure; floating-point noise within 1e-9 below zero reads 0."""
+    return 0.0 if -1e-9 < value < 0.0 else float(value)
 
 
 def _grid_refine(objective, cfg: SearchConfig):
@@ -183,17 +193,7 @@ def discord(
     cond = conditional_entropy_min(rho, layout, VON_NEUMANN, cfg)
     rho_b = partial_trace(rho, layout, keep="B")
     baseline = entropy(rho, VON_NEUMANN) - entropy(rho_b, VON_NEUMANN)
-    value = cond.value - baseline
-    if value < 0.0:
-        value = 0.0 if value > -1e-9 else value
-    return OptimizationResult(
-        value=value,
-        k_star=cond.k_star,
-        theta=cond.theta,
-        phi=cond.phi,
-        method=cond.method,
-        residual=cond.residual,
-    )
+    return replace(cond, value=_clip_noise(cond.value - baseline))
 
 
 def _whitener(r_b: np.ndarray) -> np.ndarray:

@@ -39,8 +39,17 @@ from .statekit import BipartiteLayout, DensityMatrix
 
 TWO_QUBIT = BipartiteLayout(2, 2)
 
-#: Measures with a minimizing-measurement direction attached.
-ANGLED_MEASURES = ("D", "I1", "I2", "IR2", "S2cond")
+#: Measures with a minimizing-measurement direction attached, as calls
+#: ``(rho, layout, search) -> OptimizationResult``.  The lambdas look the
+#: functions up at call time, so wrappers installed on this module see them.
+_OPTIMIZED = {
+    "D": lambda rho, layout, search: discord(rho, layout, search),
+    "I1": lambda rho, layout, search: deficit(rho, layout, VON_NEUMANN, search),
+    "I2": lambda rho, layout, search: quadratic_deficit_closed(rho, layout),
+    "IR2": lambda rho, layout, search: renyi_deficit(rho, layout, 2.0, search),
+    "S2cond": lambda rho, layout, search: quadratic_closed_form(rho, layout),
+}
+ANGLED_MEASURES = tuple(_OPTIMIZED)
 ALL_MEASURES = ("D", "I1", "I2", "IR2", "concurrence", "eof", "S2cond")
 
 SWEEP_VARIABLES = ("h_z", "gamma")
@@ -85,6 +94,8 @@ class SweepConfig:
 
 
 def _require_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise SweepConfigError(f"{where} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise SweepConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -141,11 +152,20 @@ def parse_config(payload: dict) -> SweepConfig:
 
     fixed = payload.get("fixed", {})
     _require_keys(fixed, {"h_mag"}, "fixed")
-    h_mag = float(fixed["h_mag"]) if "h_mag" in fixed else None
+    try:
+        h_mag = float(fixed["h_mag"]) if "h_mag" in fixed else None
+    except (TypeError, ValueError) as exc:
+        raise SweepConfigError(f"bad fixed.h_mag: {exc}") from None
     if variable == "gamma" and h_mag is None:
         raise SweepConfigError("gamma sweeps require fixed.h_mag")
 
-    separations = tuple(int(s) for s in payload.get("separations", range(1, n_sites // 2 + 1)))
+    for key in ("separations", "measures"):
+        if not isinstance(payload.get(key, []), list):
+            raise SweepConfigError(f"{key} must be a JSON list, got {payload[key]!r}")
+    try:
+        separations = tuple(int(s) for s in payload.get("separations", range(1, n_sites // 2 + 1)))
+    except (TypeError, ValueError) as exc:
+        raise SweepConfigError(f"bad separations: {exc}") from None
     if not separations:
         raise SweepConfigError("separations must be nonempty")
     for sep in separations:
@@ -166,6 +186,10 @@ def parse_config(payload: dict) -> SweepConfig:
     except (TypeError, ValueError) as exc:
         raise SweepConfigError(f"bad search section: {exc}") from None
 
+    output = payload.get("output")
+    if output is not None and not isinstance(output, str):
+        raise SweepConfigError(f"output must be a file path, got {output!r}")
+
     return SweepConfig(
         n_sites=n_sites,
         j_x=j_x,
@@ -178,7 +202,7 @@ def parse_config(payload: dict) -> SweepConfig:
         separations=separations,
         measures=measures,
         search=search,
-        output=payload.get("output"),
+        output=output,
     )
 
 
@@ -207,26 +231,12 @@ def measure_state(
     layout: BipartiteLayout = TWO_QUBIT,
 ) -> MeasureCell:
     """Evaluate one named measure on a qudit-qubit state."""
-    if measure == "D":
-        res = discord(rho, layout, search)
-        return MeasureCell(res.value, res.theta, res.phi)
-    if measure == "I1":
-        res = deficit(rho, layout, VON_NEUMANN, search)
-        return MeasureCell(res.value, res.theta, res.phi)
-    if measure == "I2":
-        res = quadratic_deficit_closed(rho, layout)
-        return MeasureCell(res.value, res.theta, res.phi)
-    if measure == "IR2":
-        res = renyi_deficit(rho, layout, 2.0, search)
-        return MeasureCell(res.value, res.theta, res.phi)
-    if measure == "S2cond":
-        res = quadratic_closed_form(rho, layout)
-        return MeasureCell(res.value, res.theta, res.phi)
-    if measure == "concurrence":
-        return MeasureCell(entanglement_of_formation(rho).concurrence)
-    if measure == "eof":
-        return MeasureCell(entanglement_of_formation(rho).eof)
-    raise ValueError(f"unknown measure {measure!r}")
+    if measure in ("concurrence", "eof"):
+        return MeasureCell(getattr(entanglement_of_formation(rho), measure))
+    if measure not in _OPTIMIZED:
+        raise ValueError(f"unknown measure {measure!r}")
+    res = _OPTIMIZED[measure](rho, layout, search)
+    return MeasureCell(res.value, res.theta, res.phi)
 
 
 def _pair_cells(pair: DensityMatrix, measures, search: SearchConfig | None) -> dict:
@@ -337,13 +347,8 @@ def report_limits(chi: float, n_sites: int, search: SearchConfig | None = None) 
     c_plus, c_minus = concurrence_side_limits(chi, n_sites)
 
     def _measures(rho):
-        return {
-            "D": measure_state(rho, "D", search).__dict__,
-            "I1": measure_state(rho, "I1", search).__dict__,
-            "I2": measure_state(rho, "I2", search).__dict__,
-            "concurrence": measure_state(rho, "concurrence", search).value,
-            "eof": measure_state(rho, "eof", search).value,
-        }
+        cells = _pair_cells(rho, ("D", "I1", "I2", "concurrence", "eof"), search)
+        return {m: c.__dict__ if m in ANGLED_MEASURES else c.value for m, c in cells.items()}
 
     return {
         "chi": chi,

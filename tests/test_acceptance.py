@@ -371,8 +371,8 @@ def test_criterion_10_stationarity_at_optimizers():
     worst_quad = worst_vn = worst_disc = 0.0
     for _ in range(60):
         rho = random_density(rng, 4)
-        worst_quad = max(worst_quad, quadratic_deficit_closed(rho, LAY22).stationarity_residual)
-        worst_vn = max(worst_vn, deficit(rho, LAY22, VON_NEUMANN).stationarity_residual)
+        worst_quad = max(worst_quad, quadratic_deficit_closed(rho, LAY22).residual)
+        worst_vn = max(worst_vn, deficit(rho, LAY22, VON_NEUMANN).residual)
         worst_disc = max(worst_disc, discord(rho, LAY22).residual)
     ok = max(worst_quad, worst_vn, worst_disc) <= 1e-6
     report(

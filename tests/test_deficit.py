@@ -213,7 +213,7 @@ class TestRenyiDeficit:
 
     def test_value_formula_at_optimum(self):
         rng = np.random.default_rng(11)
-        for q in (0.5, 3.0):
+        for q in (0.5, 3.0, 2.0):
             rho = random_density(rng, 4)
             res = renyi_deficit(rho, LAY22, q)
             pinched = unread_state(rho, LAY22, res.k_star.k)
@@ -235,7 +235,7 @@ class TestStationarity:
         for _ in range(20):
             rho = random_density(rng, 4)
             res = quadratic_deficit_closed(rho, LAY22)
-            assert res.stationarity_residual < 1e-8
+            assert res.residual < 1e-8
 
     def test_semi_quantum_pointer_basis(self):
         rng = np.random.default_rng(13)
@@ -255,7 +255,7 @@ class TestStationarity:
             )
             if worst > 1e-4:
                 hits += 1
-            assert worst > opt.stationarity_residual
+            assert worst > opt.residual
         assert hits >= 8
 
     def test_renyi_rejected(self):

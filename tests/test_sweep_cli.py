@@ -41,6 +41,8 @@ class TestConfigValidation:
     def test_unknown_root_key(self):
         with pytest.raises(SweepConfigError):
             parse_config(base_config(bogus=1))
+        with pytest.raises(SweepConfigError):
+            parse_config(base_config(output=5))
 
     def test_unknown_nested_key(self):
         payload = base_config()
@@ -49,12 +51,14 @@ class TestConfigValidation:
             parse_config(payload)
 
     def test_bad_measure(self):
-        with pytest.raises(SweepConfigError):
-            parse_config(base_config(measures=["D", "magic"]))
+        for measures in (["D", "magic"], "D", "I1"):
+            with pytest.raises(SweepConfigError):
+                parse_config(base_config(measures=measures))
 
     def test_bad_separation(self):
-        with pytest.raises(SweepConfigError):
-            parse_config(base_config(separations=[5]))
+        for separations in ([5], 2, ["x"]):
+            with pytest.raises(SweepConfigError):
+                parse_config(base_config(separations=separations))
 
     def test_gamma_requires_h_mag(self):
         payload = base_config()
@@ -63,6 +67,9 @@ class TestConfigValidation:
         payload["sweep"]["to"] = 30.0
         with pytest.raises(SweepConfigError):
             parse_config(payload)
+        for fixed in ({"h_mag": "big"}, 3):
+            with pytest.raises(SweepConfigError):
+                parse_config({**payload, "fixed": fixed})
 
     def test_n_sites_bounds(self):
         payload = base_config()
@@ -257,8 +264,16 @@ class TestCli:
 
     def test_sweep_bad_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(base_config(bogus=2)))
-        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        for overrides in (
+            {"bogus": 2},
+            {"separations": 2},
+            {"separations": ["x"]},
+            {"fixed": {"h_mag": "big"}},
+            {"measures": "D"},
+            {"measures": "I1"},
+        ):
+            cfg_path.write_text(json.dumps(base_config(**overrides)))
+            assert main(["sweep", "--config", str(cfg_path)]) == 2, overrides
 
     def test_sweep_invalid_json(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -290,6 +305,17 @@ class TestCli:
         path = tmp_path / "qudit.json"
         path.write_text(to_json(state))
         assert main(["measure", "--state", str(path), "--measure", "concurrence"]) == 2
+
+    def test_measure_malformed_state(self, tmp_path):
+        path = tmp_path / "bad.json"
+        pairs = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+        for bad in (
+            {"dim": "four", "entries": pairs},
+            {"dim": 2, "entries": "x"},
+            {"dim": 2, "entries": pairs[:3]},
+        ):
+            path.write_text(json.dumps(bad))
+            assert main(["measure", "--state", str(path), "--measure", "D"]) == 2, bad
 
     def test_measure_numerical_failure(self, tmp_path):
         # A matrix with a large negative eigenvalue fails state validation.
