@@ -13,11 +13,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .entropy import EntropyFunctional, spectrum_entropy
-from .measurement import PROB_FLOOR
+from .entropy import (
+    FAMILY_RENYI,
+    FAMILY_VON_NEUMANN,
+    EntropyFunctional,
+    f_prime_values,
+    spectrum_entropy,
+)
+from .errors import UnsupportedFamily
+from .measurement import PROB_FLOOR, projector
 from .statekit import PAULI, BipartiteLayout, DensityMatrix
 
 _2D = np.newaxis
+_LOG_FLOOR = 1e-300
 
 
 def block_spectra(blocks: np.ndarray) -> np.ndarray:
@@ -80,3 +88,42 @@ class PairContext:
         _, blocks = self.measured_blocks(dirs)
         lams = block_spectra(blocks).reshape(len(blocks), 2 * self.d_a)
         return spectrum_entropy(lams, functional)
+
+
+def stationarity_residual(
+    rho: DensityMatrix,
+    layout: BipartiteLayout,
+    k,
+    functional: EntropyFunctional,
+    mode: str = "deficit",
+) -> float:
+    """Frobenius norm of the optimality commutator at direction k.
+
+    Deficit mode evaluates ``Tr_A [f'(rho'(k)), rho]``; discord mode, defined
+    for the von Neumann family only, adds ``[log2 rho'_B, rho_B]``.  Both
+    follow from the two blocks M_s: ``f'(rho') = sum_s f'(M_s) (x) P_sk`` and
+    ``rho'_B = sum_s (Tr M_s) P_sk``.  The residual vanishes at minimizing
+    directions, so it doubles as a convergence diagnostic.
+    """
+    if functional.family == FAMILY_RENYI:
+        raise UnsupportedFamily("stationarity residual is defined for trace forms only")
+    if mode not in ("deficit", "discord"):
+        raise ValueError(f"mode must be 'deficit' or 'discord', got {mode!r}")
+    if mode == "discord" and functional.family != FAMILY_VON_NEUMANN:
+        raise UnsupportedFamily("discord-mode residual is defined for the von Neumann family")
+    layout.check(rho)
+    layout.require_qubit_b()
+    d_a = layout.d_a
+    four = rho.entries.reshape(d_a, 2, d_a, 2)
+    plus = projector(k)
+    projs = np.stack([plus, np.eye(2) - plus])
+    lams, vecs = np.linalg.eigh(np.einsum("aibj,sji->sab", four, projs))
+    f_blocks = (vecs * f_prime_values(lams, functional)[:, _2D]) @ vecs.conj().swapaxes(1, 2)
+    fp = np.einsum("sab,sij->aibj", f_blocks, projs).reshape(rho.dim, rho.dim)
+    comm = fp @ rho.entries - rho.entries @ fp
+    reduced = np.einsum("aiaj->ij", comm.reshape(d_a, 2, d_a, 2))
+    if mode == "discord":
+        rho_b = np.einsum("aiaj->ij", four)
+        log_b = np.einsum("s,sij->ij", np.log2(np.clip(lams.sum(1), _LOG_FLOOR, None)), projs)
+        reduced = reduced + (log_b @ rho_b - rho_b @ log_b)
+    return float(np.linalg.norm(reduced))

@@ -75,25 +75,13 @@ def _cmd_limits(args) -> int:
 def _cmd_measure(args) -> int:
     try:
         with open(args.state, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            rho = from_json(handle.read())
     except OSError as exc:
         raise SweepConfigError(f"cannot read state file: {exc}") from None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SweepConfigError(f"state file is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
-        raise SweepConfigError("state JSON must contain 'dim' and 'entries'")
-    try:
-        dim = int(payload["dim"])
-    except (TypeError, ValueError) as exc:
-        raise SweepConfigError(f"bad state dimension: {exc}") from None
-    if dim % 2 != 0:
+    except ValueError as exc:
+        raise SweepConfigError(f"bad state file: {exc}") from None
+    if rho.dim % 2 != 0:
         raise SweepConfigError("state dimension must be even (side B is a qubit)")
-    try:
-        rho = from_json(text)
-    except (TypeError, ValueError) as exc:
-        raise SweepConfigError(f"bad state entries: {exc}") from None
     d_a = rho.dim // 2
     if d_a != 2 and args.measure in ("concurrence", "eof"):
         raise SweepConfigError(f"{args.measure} requires a two-qubit state")

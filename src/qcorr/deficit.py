@@ -19,8 +19,10 @@ Every minimization returns a :class:`qcorr.discord.OptimizationResult`
 whose ``residual`` is the stationarity residual below.
 
 Optimality of a direction is checked through the commutator residual
-``Tr_A [f'(rho'), rho]``, which vanishes at stationary points; the discord
-variant adds the marginal correction ``[log2 rho'_B, rho_B]``.
+``Tr_A [f'(rho'), rho]`` of :func:`stationarity_residual`, which vanishes at
+stationary points; the discord variant adds ``[log2 rho'_B, rho_B]``.  Both
+come from the pinched state's blocks ``M_s = Tr_B[rho (I x P_sk)]``:
+``f'(rho') = sum_s f'(M_s) (x) P_sk`` and ``rho'_B = sum_s (Tr M_s) P_sk``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pairstate import PairContext
+from ._pairstate import PairContext, stationarity_residual
 from ._sphere import dominant_direction
 from .discord import (
     CLOSED_FORM,
@@ -41,20 +43,9 @@ from .discord import (
     _clip_noise,
     _grid_refine,
 )
-from .entropy import (
-    FAMILY_RENYI,
-    FAMILY_VON_NEUMANN,
-    QUADRATIC,
-    EntropyFunctional,
-    f_prime_matrix,
-    spectrum_entropy,
-    tsallis,
-)
-from .errors import UnsupportedFamily
-from .measurement import MeasurementDirection, unread_state
-from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose, partial_trace
-
-_LOG_FLOOR = 1e-300
+from .entropy import FAMILY_RENYI, QUADRATIC, EntropyFunctional, spectrum_entropy, tsallis
+from .measurement import MeasurementDirection
+from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose
 
 
 @dataclass(frozen=True)
@@ -82,9 +73,6 @@ def deficit_matrix(rho: DensityMatrix, layout: BipartiteLayout) -> DeficitMatrix
 
 def _deficit_result(rho, layout, value, k_vec, method, functional) -> OptimizationResult:
     kd = MeasurementDirection(k_vec)
-    if functional.family == FAMILY_RENYI:
-        # Same stationary points as the Tsallis family at equal q.
-        functional = tsallis(functional.q)
     residual = stationarity_residual(rho, layout, kd, functional, mode="deficit")
     return OptimizationResult(_clip_noise(value), kd, method, residual)
 
@@ -95,7 +83,12 @@ def deficit(
     functional: EntropyFunctional,
     cfg: SearchConfig | None = None,
 ) -> OptimizationResult:
-    """Minimize S_f(rho'(k)) - S_f(rho) by grid search plus Newton refinement."""
+    """Minimize S_f(rho'(k)) - S_f(rho) by grid search plus Newton refinement.
+
+    A Renyi functional is handed to :func:`renyi_deficit`.
+    """
+    if functional.family == FAMILY_RENYI:
+        return renyi_deficit(rho, layout, functional.q, cfg)
     cfg = cfg or DEFAULT_SEARCH
     ctx = PairContext(rho, layout)
     base = float(spectrum_entropy(ctx.joint_spectrum, functional))
@@ -138,43 +131,3 @@ def renyi_deficit(
     power_before = float((np.clip(np.linalg.eigvalsh(rho.entries), 0.0, None) ** q).sum())
     power_after = power_before - (1.0 - 2.0 ** (1.0 - q)) * inner.value
     return replace(inner, value=_clip_noise(np.log2(power_after / power_before) / (1.0 - q)))
-
-
-def _log2_matrix(mat: np.ndarray) -> np.ndarray:
-    lams, vecs = np.linalg.eigh(mat)
-    lams = np.clip(lams, _LOG_FLOOR, None)
-    return (vecs * np.log2(lams)) @ vecs.conj().T
-
-
-def stationarity_residual(
-    rho: DensityMatrix,
-    layout: BipartiteLayout,
-    k,
-    functional: EntropyFunctional,
-    mode: str = "deficit",
-) -> float:
-    """Frobenius norm of the optimality commutator at direction k.
-
-    Deficit mode evaluates ``Tr_A [f'(rho'(k)), rho]``; discord mode, defined
-    for the von Neumann family only, adds ``[log2 rho'_B, rho_B]``.  The
-    residual vanishes at minimizing directions and grows with the distance
-    from stationarity, so it doubles as a convergence diagnostic.
-    """
-    if functional.family == FAMILY_RENYI:
-        raise UnsupportedFamily("stationarity residual is defined for trace forms only")
-    if mode not in ("deficit", "discord"):
-        raise ValueError(f"mode must be 'deficit' or 'discord', got {mode!r}")
-    if mode == "discord" and functional.family != FAMILY_VON_NEUMANN:
-        raise UnsupportedFamily("discord-mode residual is defined for the von Neumann family")
-    layout.require_qubit_b()
-    pinched = unread_state(rho, layout, k)
-    fp = f_prime_matrix(pinched, functional)
-    comm = fp @ rho.entries - rho.entries @ fp
-    d_a = layout.d_a
-    reduced = np.einsum("aiaj->ij", comm.reshape(d_a, 2, d_a, 2))
-    if mode == "discord":
-        rho_b = partial_trace(rho, layout, keep="B").entries
-        pinched_b = np.einsum("aiaj->ij", pinched.entries.reshape(d_a, 2, d_a, 2))
-        log_b = _log2_matrix(pinched_b)
-        reduced = reduced + (log_b @ rho_b - rho_b @ log_b)
-    return float(np.linalg.norm(reduced))

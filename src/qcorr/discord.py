@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pairstate import PairContext
+from ._pairstate import PairContext, stationarity_residual
 from ._sphere import dominant_direction, grid_minima, minimize_on_sphere, sphere_grid
 from .entropy import FAMILY_VON_NEUMANN, VON_NEUMANN, EntropyFunctional, entropy
 from .measurement import MeasurementDirection
@@ -174,8 +174,6 @@ def conditional_entropy_min(
     k, val = _grid_refine(lambda dirs: ctx.conditional_entropy(dirs, functional), cfg=cfg)
     residual = None
     if functional.family == FAMILY_VON_NEUMANN:
-        from .deficit import stationarity_residual
-
         residual = stationarity_residual(rho, layout, k, functional, mode="discord")
     return _result(val, k, GRID_REFINE, residual)
 

@@ -126,12 +126,16 @@ def make_density(entries) -> DensityMatrix:
 
     Raises
     ------
+    ValueError
+        If the matrix is not square or has a NaN or infinite entry.
     NotHermitian, NotPositive, TraceDeviation
         If the defect exceeds the 1e-8 validation tolerance.
     """
     raw = np.asarray(entries, dtype=complex)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {raw.shape}")
+    if not np.isfinite(raw).all():
+        raise ValueError("matrix entries must be finite")
     dim = raw.shape[0]
 
     herm_defect = np.abs(raw - raw.conj().T).max()
@@ -260,11 +264,22 @@ def to_json(rho: DensityMatrix) -> str:
 
 
 def from_json(text: str) -> DensityMatrix:
-    """Inverse of :func:`to_json`; the matrix is revalidated."""
+    """Inverse of :func:`to_json`; the matrix is revalidated.
+
+    Raises ``ValueError`` for invalid JSON and for any other key set, value
+    type or entry count than :func:`to_json` writes.
+    """
     payload = json.loads(text)
-    dim = int(payload["dim"])
-    pairs = np.asarray(payload["entries"], dtype=float)
-    if pairs.shape != (dim * dim, 2):
-        raise ValueError(f"expected {dim * dim} [re, im] pairs, got shape {pairs.shape}")
-    mat = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(dim, dim)
-    return make_density(mat)
+    if not isinstance(payload, dict) or set(payload) != {"dim", "entries"}:
+        raise ValueError("state JSON must be an object with exactly the keys 'dim' and 'entries'")
+    dim = payload["dim"]
+    if type(dim) is not int or dim < 1:  # bool is a subclass of int
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    pairs = np.array(payload["entries"], dtype=object)
+    if pairs.shape != (dim * dim, 2) or not all(type(x) in (int, float) for x in pairs.flat):
+        raise ValueError(f"entries must be {dim * dim} [re, im] number pairs")
+    try:
+        pairs = pairs.astype(float)
+    except OverflowError:
+        raise ValueError("entries must be finite") from None
+    return make_density((pairs[:, 0] + 1j * pairs[:, 1]).reshape(dim, dim))

@@ -16,6 +16,7 @@ measurement; angles are reported in radians with 12 significant digits.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,25 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
         raise SweepConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number; booleans, strings, NaN and infinities are refused."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise SweepConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _integer(value, where: str) -> int:
+    """A JSON number with an integral value, such as 8 or 8.0; booleans are refused."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise SweepConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _no_repeats(items: tuple, where: str) -> None:
+    if len(set(items)) != len(items):
+        raise SweepConfigError(f"{where} must not repeat an entry, got {list(items)}")
+
+
 def parse_config(payload: dict) -> SweepConfig:
     """Build a :class:`SweepConfig` from a JSON-style dict.
 
@@ -117,7 +137,9 @@ def parse_config(payload: dict) -> SweepConfig:
           "output": "sweep.csv"                 # optional
         }
 
-    ``gamma`` is the field angle from the z axis in degrees.
+    ``gamma`` is the field angle from the z axis in degrees.  Numbers must
+    be finite JSON numbers, counts and separations integral, and the
+    ``separations`` and ``measures`` lists free of repeats.
     """
     if not isinstance(payload, dict):
         raise SweepConfigError("configuration must be a JSON object")
@@ -132,15 +154,15 @@ def parse_config(payload: dict) -> SweepConfig:
     _require_keys(chain, {"n_sites", "j_x", "chi"}, "chain")
     _require_keys(sweep, {"variable", "from", "to", "points"}, "sweep")
     try:
-        n_sites = int(chain["n_sites"])
-        j_x = float(chain.get("j_x", 1.0))
-        chi = float(chain["chi"])
+        n_sites = _integer(chain["n_sites"], "chain.n_sites")
+        j_x = _number(chain.get("j_x", 1.0), "chain.j_x")
+        chi = _number(chain["chi"], "chain.chi")
         variable = sweep["variable"]
-        start = float(sweep["from"])
-        stop = float(sweep["to"])
-        points = int(sweep["points"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SweepConfigError(f"bad chain/sweep section: {exc}") from None
+        start = _number(sweep["from"], "sweep.from")
+        stop = _number(sweep["to"], "sweep.to")
+        points = _integer(sweep["points"], "sweep.points")
+    except KeyError as exc:
+        raise SweepConfigError(f"bad chain/sweep section: missing {exc}") from None
     if not 2 <= n_sites <= MAX_SITES:
         raise SweepConfigError(f"n_sites must be in 2..{MAX_SITES}, got {n_sites}")
     if variable not in SWEEP_VARIABLES:
@@ -152,38 +174,42 @@ def parse_config(payload: dict) -> SweepConfig:
 
     fixed = payload.get("fixed", {})
     _require_keys(fixed, {"h_mag"}, "fixed")
-    try:
-        h_mag = float(fixed["h_mag"]) if "h_mag" in fixed else None
-    except (TypeError, ValueError) as exc:
-        raise SweepConfigError(f"bad fixed.h_mag: {exc}") from None
+    h_mag = _number(fixed["h_mag"], "fixed.h_mag") if "h_mag" in fixed else None
     if variable == "gamma" and h_mag is None:
         raise SweepConfigError("gamma sweeps require fixed.h_mag")
 
     for key in ("separations", "measures"):
         if not isinstance(payload.get(key, []), list):
             raise SweepConfigError(f"{key} must be a JSON list, got {payload[key]!r}")
-    try:
-        separations = tuple(int(s) for s in payload.get("separations", range(1, n_sites // 2 + 1)))
-    except (TypeError, ValueError) as exc:
-        raise SweepConfigError(f"bad separations: {exc}") from None
+    separations = tuple(
+        _integer(s, "separations entry")
+        for s in payload.get("separations", range(1, n_sites // 2 + 1))
+    )
     if not separations:
         raise SweepConfigError("separations must be nonempty")
     for sep in separations:
         if not 1 <= sep <= n_sites // 2:
             raise SweepConfigError(f"separation {sep} outside 1..{n_sites // 2}")
+    _no_repeats(separations, "separations")
 
     measures = tuple(payload.get("measures", ALL_MEASURES))
     for m in measures:
         if m not in ALL_MEASURES:
             raise SweepConfigError(f"unknown measure {m!r}; choose from {ALL_MEASURES}")
+    _no_repeats(measures, "measures")
 
     search_raw = payload.get("search", {})
     _require_keys(
         search_raw, {"grid_theta", "grid_phi", "refine_tol", "refine_max_iter"}, "search"
     )
     try:
-        search = SearchConfig(**search_raw)
-    except (TypeError, ValueError) as exc:
+        search = SearchConfig(
+            **{
+                key: (_number if key == "refine_tol" else _integer)(value, f"search.{key}")
+                for key, value in search_raw.items()
+            }
+        )
+    except ValueError as exc:
         raise SweepConfigError(f"bad search section: {exc}") from None
 
     output = payload.get("output")
@@ -231,15 +257,12 @@ def measure_state(
     layout: BipartiteLayout = TWO_QUBIT,
 ) -> MeasureCell:
     """Evaluate one named measure on a qudit-qubit state."""
-    if measure in ("concurrence", "eof"):
-        return MeasureCell(getattr(entanglement_of_formation(rho), measure))
-    if measure not in _OPTIMIZED:
+    if measure not in ALL_MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    res = _OPTIMIZED[measure](rho, layout, search)
-    return MeasureCell(res.value, res.theta, res.phi)
+    return _pair_cells(rho, (measure,), search, layout)[measure]
 
 
-def _pair_cells(pair: DensityMatrix, measures, search: SearchConfig | None) -> dict:
+def _pair_cells(pair: DensityMatrix, measures, search: SearchConfig | None, layout=TWO_QUBIT):
     """Requested measures of one pair; concurrence and eof share one EoF evaluation."""
     cells = {}
     ent = None
@@ -249,7 +272,8 @@ def _pair_cells(pair: DensityMatrix, measures, search: SearchConfig | None) -> d
                 ent = entanglement_of_formation(pair)
             cells[m] = MeasureCell(getattr(ent, m))
         else:
-            cells[m] = measure_state(pair, m, search)
+            res = _OPTIMIZED[m](pair, layout, search)
+            cells[m] = MeasureCell(res.value, res.theta, res.phi)
     return cells
 
 

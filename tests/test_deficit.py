@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from qcorr.deficit import (
     renyi_deficit,
     stationarity_residual,
 )
-from qcorr.entropy import QUADRATIC, VON_NEUMANN, entropy, tsallis
-from qcorr.errors import InvalidQ, UnsupportedFamily
+from qcorr.entropy import QUADRATIC, VON_NEUMANN, entropy, f_prime_matrix, tsallis
+from qcorr.errors import InvalidQ, UnsupportedFamily, ZeroEigenvalueLog
 from qcorr.measurement import unread_state
 from qcorr.statekit import (
     BipartiteLayout,
@@ -229,7 +231,42 @@ class TestRenyiDeficit:
             renyi_deficit(bell(), LAY22, -2.0)
 
 
+def residual_by_definition(rho, lay, k, functional, mode):
+    """Tr_A [f'(rho'), rho] (+ [log2 rho'_B, rho_B]) from the full pinched state."""
+    pinched = unread_state(rho, lay, k)
+    fp = f_prime_matrix(pinched, functional)
+    comm = fp @ rho.entries - rho.entries @ fp
+    reduced = np.einsum("aiaj->ij", comm.reshape(lay.d_a, 2, lay.d_a, 2))
+    if mode == "discord":
+        rho_b = partial_trace(rho, lay, keep="B").entries
+        log_b = log2m(partial_trace(pinched, lay, keep="B").entries)
+        reduced = reduced + (log_b @ rho_b - rho_b @ log_b)
+    return float(np.linalg.norm(reduced))
+
+
 class TestStationarity:
+    def test_block_route_matches_definition(self):
+        rng = np.random.default_rng(16)
+        cases = [(VON_NEUMANN, "deficit"), (VON_NEUMANN, "discord"), (QUADRATIC, "deficit")]
+        cases.append((tsallis(3.0), "deficit"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroEigenvalueLog)
+            for d_a in (2, 3):
+                lay = BipartiteLayout(d_a, 2)
+                for kind in ("full", "rank2", "pure"):
+                    for _ in range(4):
+                        if kind == "pure":
+                            rho = random_pure(rng, 2 * d_a)
+                        else:
+                            rho = random_density(rng, 2 * d_a, 2 if kind == "rank2" else None)
+                        k = random_direction(rng)
+                        # f' of Tsallis q < 1 diverges on the kernel of a singular rho'.
+                        extra = [(tsallis(0.5), "deficit")] if kind == "full" else []
+                        for functional, mode in cases + extra:
+                            r = stationarity_residual(rho, lay, k, functional, mode)
+                            ref = residual_by_definition(rho, lay, k, functional, mode)
+                            assert abs(r - ref) <= 1e-12 * max(1.0, abs(r)), (functional, mode)
+
     def test_closed_form_is_stationary(self):
         rng = np.random.default_rng(12)
         for _ in range(20):

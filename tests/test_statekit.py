@@ -56,6 +56,13 @@ class TestMakeDensity:
         with pytest.raises(ValueError):
             make_density(np.zeros((2, 3)))
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            mat = np.eye(2, dtype=complex) / 2
+            mat[1, 1] = bad
+            with pytest.raises(ValueError):
+                make_density(mat)
+
 
 class TestPartialTrace:
     def test_product_state_recovers_factors(self):
@@ -190,3 +197,20 @@ class TestJson:
         assert payload["dim"] == 2
         assert len(payload["entries"]) == 4
         assert payload["entries"][0] == [0.5, 0.0]
+
+    def test_rejects_malformed_payload(self):
+        pairs = json.loads(to_json(make_density(np.eye(2) / 2)))["entries"]
+        for bad in (
+            [2, pairs],
+            {"dim": 2},
+            {"dim": 2, "entries": pairs, "extra": 0},
+            {"dim": 2.0, "entries": pairs},
+            {"dim": True, "entries": [[1.0, 0.0]]},
+            {"dim": 0, "entries": []},
+            {"dim": 2, "entries": pairs[:3]},
+            {"dim": 2, "entries": [["0.5", 0.0]] + pairs[1:]},
+            {"dim": 2, "entries": [[0.5, 0.0, 0.0]] + pairs[1:]},
+            {"dim": 2, "entries": [[float("nan"), 0.0]] + pairs[1:]},
+        ):
+            with pytest.raises(ValueError):
+                from_json(json.dumps(bad))

@@ -29,6 +29,10 @@ class TestConfigValidation:
         assert cfg.n_sites == 8
         assert cfg.measures == ("D",)
         assert cfg.separations == (1,)
+        integral = base_config(separations=[1.0])
+        integral["chain"]["n_sites"] = 8.0
+        integral["sweep"]["points"] = 2.0
+        assert parse_config(integral) == cfg
 
     def test_defaults_fill_in(self):
         payload = base_config()
@@ -51,12 +55,12 @@ class TestConfigValidation:
             parse_config(payload)
 
     def test_bad_measure(self):
-        for measures in (["D", "magic"], "D", "I1"):
+        for measures in (["D", "magic"], "D", "I1", ["D", "D"]):
             with pytest.raises(SweepConfigError):
                 parse_config(base_config(measures=measures))
 
     def test_bad_separation(self):
-        for separations in ([5], 2, ["x"]):
+        for separations in ([5], 2, ["x"], [1.5], [True], [1.5, True], [1, 1]):
             with pytest.raises(SweepConfigError):
                 parse_config(base_config(separations=separations))
 
@@ -67,15 +71,16 @@ class TestConfigValidation:
         payload["sweep"]["to"] = 30.0
         with pytest.raises(SweepConfigError):
             parse_config(payload)
-        for fixed in ({"h_mag": "big"}, 3):
+        for fixed in ({"h_mag": "big"}, 3, {"h_mag": float("inf")}, {"h_mag": True}):
             with pytest.raises(SweepConfigError):
                 parse_config({**payload, "fixed": fixed})
 
     def test_n_sites_bounds(self):
-        payload = base_config()
-        payload["chain"]["n_sites"] = 16
-        with pytest.raises(SweepConfigError):
-            parse_config(payload)
+        for n_sites in (16, 8.9, True, "8"):
+            payload = base_config()
+            payload["chain"]["n_sites"] = n_sites
+            with pytest.raises(SweepConfigError):
+                parse_config(payload)
 
     def test_per_point_failure_names_field_value(self):
         # Bypass config validation to hit a runtime failure at a sweep point:
@@ -89,15 +94,32 @@ class TestConfigValidation:
             run_sweep(cfg)
 
     def test_bad_points_and_range(self):
-        payload = base_config()
-        payload["sweep"]["points"] = 1
-        with pytest.raises(SweepConfigError):
-            parse_config(payload)
-        payload = base_config()
-        payload["sweep"]["from"] = 1.0
-        payload["sweep"]["to"] = 0.5
-        with pytest.raises(SweepConfigError):
-            parse_config(payload)
+        for points in (1, 2.7, True):
+            payload = base_config()
+            payload["sweep"]["points"] = points
+            with pytest.raises(SweepConfigError):
+                parse_config(payload)
+        for start, stop in ((1.0, 0.5), (0.3, float("inf")), (float("nan"), 0.4)):
+            payload = base_config()
+            payload["sweep"]["from"] = start
+            payload["sweep"]["to"] = stop
+            with pytest.raises(SweepConfigError):
+                parse_config(payload)
+
+    def test_non_finite_chain_and_bad_search_values(self):
+        for key, value in (("chi", float("nan")), ("j_x", float("inf")), ("chi", "0.5")):
+            payload = base_config()
+            payload["chain"][key] = value
+            with pytest.raises(SweepConfigError):
+                parse_config(payload)
+        for search in (
+            {"grid_theta": 10.5},
+            {"grid_phi": True},
+            {"refine_max_iter": 2.5},
+            {"refine_tol": float("nan")},
+        ):
+            with pytest.raises(SweepConfigError):
+                parse_config(base_config(search=search))
 
 
 class TestRunSweep:
@@ -271,6 +293,14 @@ class TestCli:
             {"fixed": {"h_mag": "big"}},
             {"measures": "D"},
             {"measures": "I1"},
+            {"chain": {"n_sites": 8.9, "chi": 0.5}},
+            {"chain": {"n_sites": 8, "chi": float("nan")}},
+            {"sweep": {"variable": "h_z", "from": 0.3, "to": 0.4, "points": 2.7}},
+            {"sweep": {"variable": "h_z", "from": 0.3, "to": float("inf"), "points": 2}},
+            {"separations": [1.5, True]},
+            {"separations": [1, 1]},
+            {"measures": ["D", "D"]},
+            {"search": {"grid_theta": 10.5}},
         ):
             cfg_path.write_text(json.dumps(base_config(**overrides)))
             assert main(["sweep", "--config", str(cfg_path)]) == 2, overrides
@@ -313,6 +343,10 @@ class TestCli:
             {"dim": "four", "entries": pairs},
             {"dim": 2, "entries": "x"},
             {"dim": 2, "entries": pairs[:3]},
+            {"dim": 2, "entries": [[float("nan"), 0.0]] + pairs[1:]},
+            {"dim": 4.5, "entries": [[0.25 * (i % 5 == 0), 0.0] for i in range(16)]},
+            {"dim": True, "entries": [[1.0, 0.0]]},
+            {"dim": 2, "entries": pairs, "extra": 0},
         ):
             path.write_text(json.dumps(bad))
             assert main(["measure", "--state", str(path), "--measure", "D"]) == 2, bad
