@@ -47,7 +47,6 @@ class PairContext:
 
     def __init__(self, rho: DensityMatrix, layout: BipartiteLayout):
         layout.check(rho)
-        layout.require_qubit_b()
         self.layout = layout
         self.d_a = layout.d_a
         self.rho = rho
@@ -112,7 +111,6 @@ def stationarity_residual(
     if mode == "discord" and functional.family != FAMILY_VON_NEUMANN:
         raise UnsupportedFamily("discord-mode residual is defined for the von Neumann family")
     layout.check(rho)
-    layout.require_qubit_b()
     d_a = layout.d_a
     four = rho.entries.reshape(d_a, 2, d_a, 2)
     plus = projector(k)

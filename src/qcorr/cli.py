@@ -7,8 +7,8 @@ Subcommands::
     qcorr measure --state state.json --measure D
 
 Exit codes: 0 on success, 2 on configuration errors (bad JSON, schema,
-arguments), 3 on numerical failures (invalid states, diagonalization
-problems).
+arguments, unreadable or unwritable files, inputs outside the domain), 3 on
+numerical failures (invalid states, diagonalization problems).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_limits = sub.add_parser(
         "limits", help="reference pair measures at the transverse factorizing field"
     )
-    p_limits.add_argument("--chi", type=float, required=True, help="coupling anisotropy in (0, 1]")
+    p_limits.add_argument("--chi", type=float, required=True, help="coupling anisotropy in (0, 1)")
     p_limits.add_argument("--n", type=int, required=True, help="number of sites")
 
     p_measure = sub.add_parser("measure", help="evaluate one measure on a serialized state")
@@ -64,8 +64,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    if not 0.0 < args.chi <= 1.0:
-        raise SweepConfigError(f"chi must be in (0, 1], got {args.chi}")
+    if not 0.0 < args.chi < 1.0:  # chi = 1 has no factorizing field
+        raise SweepConfigError(f"chi must be in (0, 1), got {args.chi}")
     if not 2 <= args.n <= MAX_SITES:
         raise SweepConfigError(f"n must be in 2..{MAX_SITES}, got {args.n}")
     print(json.dumps(report_limits(args.chi, args.n), indent=2))
@@ -80,8 +80,8 @@ def _cmd_measure(args) -> int:
         raise SweepConfigError(f"cannot read state file: {exc}") from None
     except ValueError as exc:
         raise SweepConfigError(f"bad state file: {exc}") from None
-    if rho.dim % 2 != 0:
-        raise SweepConfigError("state dimension must be even (side B is a qubit)")
+    if rho.dim < 4 or rho.dim % 2 != 0:
+        raise SweepConfigError(f"state dimension must be even and at least 4, got {rho.dim}")
     d_a = rho.dim // 2
     if d_a != 2 and args.measure in ("concurrence", "eof"):
         raise SweepConfigError(f"{args.measure} requires a two-qubit state")

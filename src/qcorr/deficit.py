@@ -63,7 +63,6 @@ class DeficitMatrix:
 
 def deficit_matrix(rho: DensityMatrix, layout: BipartiteLayout) -> DeficitMatrix:
     """Build ``r_b r_b^T + J^T J`` from the Bloch decomposition."""
-    layout.require_qubit_b()
     dec = bloch_decompose(rho, layout)
     m = np.outer(dec.r_b, dec.r_b) + dec.moment.T @ dec.moment
     m = 0.5 * (m + m.T)

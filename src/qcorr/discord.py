@@ -44,8 +44,6 @@ GRID_REFINE = "grid_refine"
 DEGENERATE_MARGINAL_TOL = 1e-9
 #: Eigenvalue window treated as an exact tie when selecting the optimizer.
 TIE_TOL = 1e-10
-#: Singular values of the marginal metric dropped by the pseudo-inverse root.
-PINV_CUTOFF = 1e-9
 #: Lowest grid local minima refined together.  Competing basins can lie
 #: closer than the grid's discretization error (in a tilted field, where the
 #: discord direction hands over from the xz plane to the y axis, two lie
@@ -195,16 +193,13 @@ def discord(
 
 
 def _whitener(r_b: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root of I - r_b r_b^T."""
+    """Inverse square root of I - r_b r_b^T, for 1 - |r_b| >= ``DEGENERATE_MARGINAL_TOL``."""
     rb2 = float(r_b @ r_b)
     eye = np.eye(3)
     if rb2 < 1e-30:
         return eye
     hat = np.outer(r_b, r_b) / rb2
-    radial = 1.0 - rb2
-    if radial < PINV_CUTOFF:
-        return eye - hat
-    return (eye - hat) + hat / np.sqrt(radial)
+    return (eye - hat) + hat / np.sqrt(1.0 - rb2)
 
 
 def quadratic_closed_form(rho: DensityMatrix, layout: BipartiteLayout) -> OptimizationResult:
@@ -216,7 +211,6 @@ def quadratic_closed_form(rho: DensityMatrix, layout: BipartiteLayout) -> Optimi
     any direction is optimal and the result carries the degenerate flag with
     k = z by convention.
     """
-    layout.require_qubit_b()
     dec = bloch_decompose(rho, layout)
     d_a = layout.d_a
     s2_a = (2.0 / d_a) * (d_a - 1.0 - float(dec.r_a @ dec.r_a))
@@ -241,7 +235,6 @@ def ellipsoid(rho: DensityMatrix, layout: BipartiteLayout) -> CorrelationEllipso
     post-measurement Bloch vector of A along the major axis of this
     ellipsoid.
     """
-    layout.require_qubit_b()
     dec = bloch_decompose(rho, layout)
     n = dec.corr.shape[0]
     if 1.0 - np.linalg.norm(dec.r_b) < DEGENERATE_MARGINAL_TOL:

@@ -39,10 +39,6 @@ class EntropyFunctional:
     family: str
     q: float | None = None
 
-    @property
-    def is_trace_form(self) -> bool:
-        return self.family != FAMILY_RENYI
-
     def label(self) -> str:
         if self.q is None:
             return self.family

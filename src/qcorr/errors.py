@@ -50,7 +50,7 @@ class InvalidTheta(QcorrError):
 
 
 class UnsupportedGeometry(QcorrError):
-    """Coupling pattern not covered by the sign transformation."""
+    """Chain or field outside the domain of a parity-sector or sign-map routine."""
 
 
 class SweepConfigError(QcorrError):

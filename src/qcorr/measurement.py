@@ -153,7 +153,6 @@ def condition_on_measurement(
     state, since the conditional state is a 0/0 limit there.
     """
     layout.check(rho)
-    layout.require_qubit_b()
     dec = bloch_decompose(rho, layout)
     four = rho.entries.reshape(layout.d_a, 2, layout.d_a, 2)
     rho_a = partial_trace(rho, layout, keep="A")
@@ -177,7 +176,6 @@ def unread_state(rho: DensityMatrix, layout: BipartiteLayout, k) -> DensityMatri
     trace preserving and idempotent.
     """
     layout.check(rho)
-    layout.require_qubit_b()
     v = _as_unit_vector(k)
     out = np.zeros_like(rho.entries)
     for sign in (+1.0, -1.0):

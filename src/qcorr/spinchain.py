@@ -2,18 +2,18 @@
 
 The Hamiltonian is
 
-    H = - sum_i h . S_i - (1/2) sum_{i != j, u in {x, y}} J_u^{ij} S_i^u S_j^u
+    H = - sum_i h . S_i - sum_i (J_x S_i^x S_{i+1}^x + J_y S_i^y S_{i+1}^y)
 
-with spin-1/2 operators S^u = sigma^u / 2, a field h in the xz plane and, by
-default, cyclic first-neighbor couplings J_x and J_y = chi * J_x.  For a
-transverse field the z spin parity P_z = prod_i(-2 S_i^z) commutes with H, so
-diagonalization proceeds per parity block and ground-state parity crossings
-can be located exactly.  The last crossing sits at the transverse
-factorizing field h_zs = J_x sqrt(chi), where two completely separable
-ground states with per-site cant angle theta (cos theta = sqrt(chi)) become
-degenerate; a field tilted by gamma < theta from the z axis instead admits a
-single separable ground state at the magnitude h_zs sin(theta)/sin(theta -
-gamma).
+on the cyclic first-neighbor ring (site N is site 0; N = 2 has one bond)
+that every formula here assumes, with S^u = sigma^u / 2, a field h in the xz
+plane and J_y = chi * J_x.  For a transverse field the z spin parity
+P_z = prod_i(-2 S_i^z) commutes with H, so diagonalization proceeds per
+parity block and ground-state parity crossings can be located exactly.  The
+last crossing sits at the transverse factorizing field h_zs = J_x sqrt(chi),
+where two completely separable ground states with per-site cant angle theta
+(cos theta = sqrt(chi)) become degenerate; a field tilted by gamma < theta
+from the z axis instead admits a single separable ground state at the
+magnitude h_zs sin(theta)/sin(theta - gamma).
 
 Site ordering follows the package convention: site 0 is the slowest index,
 so basis state r has bit (r >> (N - 1 - i)) & 1 at site i, with bit 0 the
@@ -43,6 +43,8 @@ MAX_SITES = 14
 DENSE_MAX_DIM = 256
 #: Relative energy-splitting threshold below which a crossing is declared.
 DEGENERACY_RTOL = 1e-10
+#: Width of the field bracket at which crossing bisection stops.
+CROSSING_TOL = 1e-10
 
 PARITY_EVEN = 1
 PARITY_ODD = -1
@@ -51,54 +53,22 @@ PARITY_BROKEN = 0
 
 @dataclass(frozen=True)
 class SpinChainSpec:
-    """Chain geometry, couplings and field.
-
-    Defaults give the cyclic first-neighbor chain with J_y = chi * J_x.
-    Custom symmetric coupling matrices with zero diagonal may be supplied
-    instead; the field must lie in the xz plane (h_y = 0).
-    """
+    """Cyclic first-neighbor ring: N spins, J_x, J_y = chi * J_x, a field with h_y = 0."""
 
     n_sites: int
     j_x: float = 1.0
     chi: float = 1.0
     field: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    jx_matrix: np.ndarray | None = None
-    jy_matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.n_sites}")
         if abs(self.field[1]) > 0.0:
             raise ValueError("field must lie in the xz plane (h_y = 0)")
-        for mat in (self.jx_matrix, self.jy_matrix):
-            if mat is None:
-                continue
-            m = np.asarray(mat, dtype=float)
-            if m.shape != (self.n_sites, self.n_sites):
-                raise ValueError("coupling matrix shape must be (N, N)")
-            if np.abs(m - m.T).max() > 1e-12 or np.abs(np.diag(m)).max() > 0.0:
-                raise ValueError("couplings must be symmetric with zero diagonal")
 
     @property
     def transverse(self) -> bool:
         return self.field[0] == 0.0
-
-    def coupling_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.jx_matrix is not None:
-            jx = np.asarray(self.jx_matrix, dtype=float)
-            jy = (
-                np.asarray(self.jy_matrix, dtype=float)
-                if self.jy_matrix is not None
-                else self.chi * jx
-            )
-            return jx, jy
-        n = self.n_sites
-        jx = np.zeros((n, n))
-        for i in range(n):
-            j = (i + 1) % n
-            if i != j:
-                jx[i, j] = jx[j, i] = self.j_x
-        return jx, self.chi * jx
 
 
 @dataclass(frozen=True)
@@ -166,7 +136,6 @@ def _sparse_hamiltonian(spec: SpinChainSpec) -> sp.csr_matrix:
         raise TooLarge(f"exact diagonalization capped at {MAX_SITES} sites, got {n}")
     dim = 1 << n
     h_x, _, h_z = spec.field
-    jx, jy = spec.coupling_matrices()
     bits = _site_bits(n)
     zvals = 1.0 - 2.0 * bits  # sigma_z eigenvalue per site
     idx = np.arange(dim)
@@ -184,16 +153,15 @@ def _sparse_hamiltonian(spec: SpinChainSpec) -> sp.csr_matrix:
             rows.append(idx ^ mask)
             cols.append(idx)
             vals.append(np.full(dim, -0.5 * h_x))
-    # Couplings: double bit flips with elements -Jx/4 + Jy z_i z_j / 4.
-    for i in range(n):
-        for j in range(i + 1, n):
-            if jx[i, j] == 0.0 and jy[i, j] == 0.0:
-                continue
-            mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
-            zz = zvals[:, i] * zvals[:, j]
-            rows.append(idx ^ mask)
-            cols.append(idx)
-            vals.append(-0.25 * jx[i, j] + 0.25 * jy[i, j] * zz)
+    # Ring bonds (i, i + 1 mod N), of which N = 2 has one: double bit flips
+    # with elements -Jx/4 + Jy z_i z_j / 4.
+    for i in range(n if n > 2 else 1):
+        j = (i + 1) % n
+        mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
+        zz = zvals[:, i] * zvals[:, j]
+        rows.append(idx ^ mask)
+        cols.append(idx)
+        vals.append(-0.25 * spec.j_x + 0.25 * (spec.chi * spec.j_x) * zz)
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
@@ -279,7 +247,7 @@ def parity_sector_energies(spec: SpinChainSpec) -> tuple[float, float]:
 
 
 def parity_crossings(
-    spec: SpinChainSpec, h_min: float, h_max: float, points: int = 2000, xtol: float = 1e-10
+    spec: SpinChainSpec, h_min: float, h_max: float, points: int = 2000
 ) -> np.ndarray:
     """Transverse fields where the parity-sector ground levels cross.
 
@@ -310,7 +278,7 @@ def parity_crossings(
         if a * b < 0.0:
             lo, hi = grid[i], grid[i + 1]
             flo = a
-            while hi - lo > xtol:
+            while hi - lo > CROSSING_TOL:
                 mid = 0.5 * (lo + hi)
                 fm = splitting(mid)
                 if fm == 0.0:
@@ -428,14 +396,12 @@ def afm_map(spec: SpinChainSpec) -> tuple[SpinChainSpec, np.ndarray]:
 
     A pi rotation about z on every even site flips the sign of both
     couplings while leaving a transverse field untouched.  Requires even N,
-    first-neighbor default couplings with J_x < 0, and a transverse field.
+    J_x < 0, and a transverse field.
     Returns the rotated spec and the diagonal of the rotation in the
     computational basis (a vector of +/- 1 signs); even separations are
     untouched by the map while the factorized product states acquire
     alternating cant angles.
     """
-    if spec.jx_matrix is not None:
-        raise UnsupportedGeometry("sign map implemented for default first-neighbor couplings")
     if spec.j_x >= 0.0:
         raise UnsupportedGeometry("sign map applies to antiferromagnetic J_x < 0")
     if spec.n_sites % 2 != 0:

@@ -6,6 +6,7 @@ correlation-tensor decomposition of bipartite states with a qubit on side B.
 
 Conventions
 -----------
+* Side A is a qudit (``d_a >= 2``), side B a qubit; :class:`BipartiteLayout` checks both.
 * Joint indices are row-major with subsystem A slow and B fast: the joint
   basis index is ``i_a * d_b + i_b``, which matches ``numpy.kron(A, B)``.
 * Traceless Hermitian bases are normalized so that
@@ -38,18 +39,14 @@ POSITIVITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class BipartiteLayout:
-    """Dimensions of the two factors of a bipartite Hilbert space.
-
-    All measurement-related operations in this package require ``d_b == 2``
-    (a qubit on side B); the layout type itself is agnostic.
-    """
+    """Dimensions of a qudit-qubit space; anything but ``d_a >= 2``, ``d_b = 2`` is refused."""
 
     d_a: int
     d_b: int = 2
 
     def __post_init__(self):
-        if self.d_a < 1 or self.d_b < 1:
-            raise LayoutMismatch(f"factor dimensions must be positive, got {self}")
+        if self.d_a < 2 or self.d_b != 2:
+            raise LayoutMismatch(f"need d_a >= 2 and a qubit on side B (d_b = 2), got {self}")
 
     @property
     def dim(self) -> int:
@@ -60,10 +57,6 @@ class BipartiteLayout:
             raise LayoutMismatch(
                 f"state dimension {rho.dim} does not match layout {self.d_a}x{self.d_b}"
             )
-
-    def require_qubit_b(self) -> None:
-        if self.d_b != 2:
-            raise LayoutMismatch(f"side B must be a qubit, got d_b={self.d_b}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +224,6 @@ def bloch_decompose(rho: DensityMatrix, layout: BipartiteLayout) -> BlochDecompo
     inverts this exactly.
     """
     layout.check(rho)
-    layout.require_qubit_b()
     d_a = layout.d_a
     basis_a = gellmann_basis(d_a).ops
     four = rho.entries.reshape(d_a, 2, d_a, 2)
@@ -246,7 +238,6 @@ def bloch_decompose(rho: DensityMatrix, layout: BipartiteLayout) -> BlochDecompo
 
 def reconstruct(dec: BlochDecomposition, layout: BipartiteLayout) -> DensityMatrix:
     """Rebuild the joint state from its Bloch decomposition."""
-    layout.require_qubit_b()
     d_a = layout.d_a
     basis_a = gellmann_basis(d_a).ops
     rho_a = (np.eye(d_a) + np.einsum("n,nab->ab", dec.r_a, basis_a)) / d_a

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,11 +234,13 @@ def parse_config(payload: dict) -> SweepConfig:
 
 
 def load_config(path: str) -> SweepConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SweepConfigError(f"invalid JSON in {path}: {exc}") from None
+    except OSError as exc:
+        raise SweepConfigError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise SweepConfigError(f"{path} is not UTF-8 JSON: {exc}") from None
     return parse_config(payload)
 
 
@@ -251,15 +254,12 @@ def _spec_at(cfg: SweepConfig, value: float) -> SpinChainSpec:
 
 
 def measure_state(
-    rho: DensityMatrix,
-    measure: str,
-    search: SearchConfig | None = None,
-    layout: BipartiteLayout = TWO_QUBIT,
+    rho: DensityMatrix, measure: str, layout: BipartiteLayout = TWO_QUBIT
 ) -> MeasureCell:
     """Evaluate one named measure on a qudit-qubit state."""
     if measure not in ALL_MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    return _pair_cells(rho, (measure,), search, layout)[measure]
+    return _pair_cells(rho, (measure,), None, layout)[measure]
 
 
 def _pair_cells(pair: DensityMatrix, measures, search: SearchConfig | None, layout=TWO_QUBIT):
@@ -282,11 +282,10 @@ def pair_observables(
     i: int,
     j: int,
     measures: tuple[str, ...] = ALL_MEASURES,
-    search: SearchConfig | None = None,
 ) -> PairObservables:
     """Reduced pair state of a ground state with all requested measures."""
     pair = reduced_pair(gs, i, j)
-    cells = _pair_cells(pair, measures, search)
+    cells = _pair_cells(pair, measures, None)
     return PairObservables(rho_pair=pair, separation=j - i, measures=cells)
 
 
@@ -349,16 +348,25 @@ def render_csv(cfg: SweepConfig, rows: list[SweepRow]) -> str:
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Run the sweep, optionally writing the CSV declared in the config."""
-    values = np.linspace(cfg.start, cfg.stop, cfg.points)
-    rows = [row for v in values for row in _rows_for_point(cfg, float(v))]
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
+    """Run the sweep, optionally writing the CSV declared in the config.
+
+    The output is opened before the first point is solved, so an unwritable
+    path fails at once, and rewritten only after every point has succeeded.
+    """
+    try:
+        handle = open(cfg.output, "a", encoding="utf-8") if cfg.output else nullcontext()
+    except OSError as exc:
+        raise SweepConfigError(f"cannot write output {cfg.output}: {exc}") from None
+    with handle:
+        values = np.linspace(cfg.start, cfg.stop, cfg.points)
+        rows = [row for v in values for row in _rows_for_point(cfg, float(v))]
+        if cfg.output:
+            handle.truncate(0)  # "a" left an existing file intact until now
             handle.write(render_csv(cfg, rows))
     return rows
 
 
-def report_limits(chi: float, n_sites: int, search: SearchConfig | None = None) -> dict:
+def report_limits(chi: float, n_sites: int) -> dict:
     """Reference values of the pair measures at the transverse factorizing field.
 
     Computes the overlap-neglected common pair state and the two exact
@@ -371,7 +379,7 @@ def report_limits(chi: float, n_sites: int, search: SearchConfig | None = None) 
     c_plus, c_minus = concurrence_side_limits(chi, n_sites)
 
     def _measures(rho):
-        cells = _pair_cells(rho, ("D", "I1", "I2", "concurrence", "eof"), search)
+        cells = _pair_cells(rho, ("D", "I1", "I2", "concurrence", "eof"), None)
         return {m: c.__dict__ if m in ANGLED_MEASURES else c.value for m, c in cells.items()}
 
     return {

@@ -20,6 +20,7 @@ from qcorr.deficit import (
     renyi_deficit,
     stationarity_residual,
 )
+from qcorr.discord import SearchConfig
 from qcorr.entropy import QUADRATIC, VON_NEUMANN, entropy, f_prime_matrix, tsallis
 from qcorr.errors import InvalidQ, UnsupportedFamily, ZeroEigenvalueLog
 from qcorr.measurement import unread_state
@@ -229,6 +230,39 @@ class TestRenyiDeficit:
             renyi_deficit(bell(), LAY22, 1.0)
         with pytest.raises(InvalidQ):
             renyi_deficit(bell(), LAY22, -2.0)
+
+
+class TestContinuityAtQOne:
+    """Tsallis and Renyi deficits tend to I_1 linearly as q -> 1 from both sides."""
+
+    COARSE = SearchConfig(grid_theta=16, grid_phi=32)
+
+    @pytest.mark.parametrize("d_a", [2, 3])
+    @pytest.mark.parametrize("kind", ["mixed", "rank2", "pure"])
+    def test_deficits_approach_i1(self, d_a, kind):
+        rng = np.random.default_rng(7 + d_a)
+        rho = {
+            "mixed": lambda: random_density(rng, 2 * d_a),
+            "rank2": lambda: random_density(rng, 2 * d_a, rank=2),
+            "pure": lambda: random_pure(rng, 2 * d_a),
+        }[kind]()
+        lay = BipartiteLayout(d_a, 2)
+        families = {
+            "tsallis": lambda q: deficit(rho, lay, tsallis(q), self.COARSE).value,
+            "renyi": lambda q: renyi_deficit(rho, lay, q, self.COARSE).value,
+        }
+        with warnings.catch_warnings():
+            # the residuals floor the zero eigenvalues of singular states
+            warnings.simplefilter("ignore", ZeroEigenvalueLog)
+            i1 = deficit(rho, lay, VON_NEUMANN, self.COARSE).value
+            for name, value_at in families.items():
+                for side in (1.0, -1.0):
+                    slope = {}
+                    for eps in (1e-2, 1e-3, 1e-4):
+                        gap = abs(value_at(1.0 + side * eps) - i1)
+                        assert gap <= eps, (name, side, eps, gap)
+                        slope[eps] = gap / eps
+                    assert abs(slope[1e-4] - slope[1e-3]) <= 0.1 * slope[1e-3], (name, side, slope)
 
 
 def residual_by_definition(rho, lay, k, functional, mode):

@@ -1,5 +1,7 @@
-"""The demos and the README's library quick start run as documented."""
+"""The demos and the README's library quick start run as documented, and the
+README's entry-point table names only attributes that exist."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -28,3 +30,19 @@ def test_readme_quick_start(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_entry_points_exist():
+    """Every backticked name in README's "Key entry points" table is an
+    attribute of the module named in its row."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Key entry points", 1)[1].split("\n\n", 2)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `qcorr")]
+    assert rows
+    for row in rows:
+        module_cell, contents = row.strip("|").split("|", 1)
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        names = [re.sub(r"\(.*\)$", "", name) for name in re.findall(r"`([^`]+)`", contents)]
+        assert names, row
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)

@@ -48,8 +48,7 @@ class TestBuildHamiltonian:
 
     def test_field_only_ground_state(self):
         h = (0.3, 0.0, 0.7)
-        spec = SpinChainSpec(n_sites=4, j_x=0.0, chi=1.0, field=h,
-                             jx_matrix=np.zeros((4, 4)), jy_matrix=np.zeros((4, 4)))
+        spec = SpinChainSpec(n_sites=4, j_x=0.0, chi=1.0, field=h)
         gs = ground_state(spec)
         h_norm = np.linalg.norm(h)
         assert abs(gs.energy - (-4 * h_norm / 2)) < 1e-9

@@ -162,6 +162,11 @@ class TestBlochDecompose:
         with pytest.raises(LayoutMismatch):
             bloch_decompose(rho, BipartiteLayout(2, 3))
 
+    def test_layout_requires_qudit_a(self):
+        for d_a in (0, 1):
+            with pytest.raises(LayoutMismatch):
+                BipartiteLayout(d_a, 2)
+
 
 class TestPurity:
     def test_pure_and_mixed_anchors(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcorr.cli import main
-from qcorr.errors import SweepConfigError
+from qcorr.errors import SweepConfigError, TooLarge
 from qcorr.statekit import make_density, to_json
 from qcorr.sweep import parse_config, render_csv, report_limits, run_sweep
 
@@ -271,6 +271,9 @@ class TestCli:
 
     def test_limits_bad_chi(self, capsys):
         assert main(["limits", "--chi", "1.5", "--n", "8"]) == 2
+        # chi = 1 has no factorizing field
+        assert main(["limits", "--chi", "1.0", "--n", "8"]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_limits_too_many_sites(self, capsys):
         assert main(["limits", "--chi", "0.5", "--n", "15"]) == 2
@@ -309,6 +312,47 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert main(["sweep", "--config", str(cfg_path)]) == 2
+
+    def test_sweep_unreadable_config(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"output": "caf\xe9.csv"}')
+        for path in (tmp_path / "nope.json", tmp_path, latin1):
+            assert main(["sweep", "--config", str(path)]) == 2, path
+            assert "configuration error" in capsys.readouterr().err
+
+    def test_sweep_unwritable_output_fails_before_solving(self, tmp_path, capsys, monkeypatch):
+        def no_solve(spec):
+            raise AssertionError("ground_state called")
+
+        monkeypatch.setattr("qcorr.sweep.ground_state", no_solve)
+        missing = str(tmp_path / "no_such_dir" / "out.csv")
+        cfg_path = tmp_path / "cfg.json"
+        for args, payload in (
+            (["--out", missing], base_config()),
+            ([], base_config(output=missing)),
+            (["--out", str(tmp_path)], base_config()),
+        ):
+            cfg_path.write_text(json.dumps(payload))
+            assert main(["sweep", "--config", str(cfg_path), *args]) == 2, args
+            assert "configuration error" in capsys.readouterr().err
+
+    def test_failed_sweep_keeps_existing_output(self, tmp_path, monkeypatch):
+        def failing_solve(spec):
+            raise TooLarge("no solve")
+
+        monkeypatch.setattr("qcorr.sweep.ground_state", failing_solve)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config()))
+        old = tmp_path / "old.csv"
+        old.write_text("previous table\n")
+        new = tmp_path / "new.csv"
+        for out in (old, new):
+            assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert old.read_text() == "previous table\n"
+        assert new.read_text() == ""
+        monkeypatch.undo()
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(old)]) == 0
+        assert old.read_text().startswith("h_z,") and len(old.read_text().splitlines()) == 3
 
     def test_measure_command(self, tmp_path, capsys):
         v = np.array([1, 0, 0, 1]) / np.sqrt(2)
@@ -350,6 +394,14 @@ class TestCli:
         ):
             path.write_text(json.dumps(bad))
             assert main(["measure", "--state", str(path), "--measure", "D"]) == 2, bad
+
+    def test_measure_rejects_dimension_two(self, tmp_path, capsys):
+        # a valid state, but d_A = 1 leaves nothing to correlate with B
+        path = tmp_path / "qubit.json"
+        path.write_text(to_json(make_density(np.eye(2) / 2)))
+        for measure in ("D", "I1", "I2", "IR2", "S2cond"):
+            assert main(["measure", "--state", str(path), "--measure", measure]) == 2, measure
+            assert "configuration error" in capsys.readouterr().err
 
     def test_measure_numerical_failure(self, tmp_path):
         # A matrix with a large negative eigenvalue fails state validation.
