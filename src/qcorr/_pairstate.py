@@ -1,18 +1,18 @@
 """Vectorized measurement surfaces for a fixed qudit-qubit state.
 
-For a projective measurement along k the joint post-measurement state is
-block diagonal in the measured basis with A-side blocks
-``M_s(k) = Tr_B[rho (I x P_sk)] = (rho_a + s * sum_n k_n T_n) / 2`` where
-``T_n = Tr_B[rho (I x sigma_n)]``.  Everything the optimizers need, the
-conditional entropy ``sum_s p_s S_f(M_s / p_s)`` and the measured joint
-entropy ``S_f(M_+ (+) M_-)``, follows from batched eigenvalues of these
-blocks, which keeps full-grid scans cheap.
+Measuring the qubit B along k leaves A in the branches ``M_s(k) =
+Tr_B[rho (I x P_sk)]`` of weight ``p_s = (1 + s k.r_b) / 2``.  For a qubit A,
+``M_s = [2 p_s I + (r_a + s J k).sigma] / 4`` (J the cross-moment tensor): the
+branch Bloch vectors lie on the correlation ellipsoid and fix the spectra
+``p_s/2 -/+ |r_a + s J k|/4``; larger A keep the blocks and ``eigvalsh``.  A
+pair's measures share one :func:`pair_context` and its last grid's spectra.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._sphere import is_sphere_grid
 from .entropy import (
     FAMILY_RENYI,
     FAMILY_VON_NEUMANN,
@@ -21,25 +21,15 @@ from .entropy import (
     spectrum_entropy,
 )
 from .errors import UnsupportedFamily
-from .measurement import PROB_FLOOR, projector
+from .measurement import PROB_FLOOR, MeasurementDirection, projector
 from .statekit import PAULI, BipartiteLayout, DensityMatrix
 
 _2D = np.newaxis
 _LOG_FLOOR = 1e-300
-
-
-def block_spectra(blocks: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of Hermitian blocks.
-
-    2x2 blocks [[a, b], [b*, d]] use the closed form
-    ``(a + d)/2 -/+ hypot((a - d)/2, |b|)``; larger ones go to ``eigvalsh``.
-    """
-    if blocks.shape[-1] != 2:
-        return np.linalg.eigvalsh(blocks)
-    a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
-    mean = 0.5 * (a + d)
-    radius = np.hypot(0.5 * (a - d), np.abs(blocks[..., 0, 1]))
-    return np.stack([mean - radius, mean + radius], axis=-1)
+_SIGNS = np.array([[1.0], [-1.0]])
+#: Largest |Im rho| (reality) and sigma_z x sigma_z-odd entry (parity) of a symmetric state.
+SYMMETRY_TOL = 1e-12
+_ODD = np.add.outer([0, 1, 1, 0], [0, 1, 1, 0]) % 2 == 1  # basis index 2a + b has parity a + b
 
 
 class PairContext:
@@ -56,37 +46,77 @@ class PairContext:
         self.t_ops = np.einsum("aibj,nji->nab", four, PAULI)
         self.r_b = np.einsum("ij,nji->n", self.rho_b, PAULI).real
         self.joint_spectrum = np.linalg.eigvalsh(rho.entries)
+        if self.d_a == 2:
+            self.r_a = np.einsum("ab,mba->m", self.rho_a, PAULI).real
+            moment = np.einsum("mba,nab->mn", PAULI, self.t_ops).real
+            self.corr = moment - np.outer(self.r_a, self.r_b)
+            self.mixedness = 4.0 * np.linalg.det(self.rho_a).real  # 1 - |r_a|^2
+        self.real = np.abs(rho.entries.imag).max() <= SYMMETRY_TOL
+        self.parity = self.d_a == 2 and np.abs(rho.entries[_ODD]).max() <= SYMMETRY_TOL
+        self.quadratic_deficit = None  # stored by qcorr.deficit.quadratic_deficit_closed
+        self._grid = (None, None)
 
     def measured_blocks(self, dirs: np.ndarray):
-        """Branch probabilities (M, 2) and raw blocks (M, 2, d_a, d_a)."""
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        m, d_a = len(dirs), self.d_a
-        delta = (dirs @ self.t_ops.reshape(3, -1)).reshape(m, d_a, d_a)
-        blocks = np.empty((m, 2, d_a, d_a), dtype=complex)
-        np.add(self.rho_a, delta, out=blocks[:, 0])
-        np.subtract(self.rho_a, delta, out=blocks[:, 1])
-        blocks *= 0.5
-        overlap = dirs @ self.r_b
-        probs = np.empty((m, 2))
-        np.add(1.0, overlap, out=probs[:, 0])
-        np.subtract(1.0, overlap, out=probs[:, 1])
-        probs *= 0.5
-        return probs, blocks
+        """Branch probabilities (M, 2) and ascending branch spectra (M, 2, d_a)."""
+        grid, cached = self._grid
+        if dirs is grid:
+            return cached
+        ks = np.atleast_2d(np.asarray(dirs, dtype=float))
+        # Rows s = +/-1; einsum, unlike matmul, gives a direction the same bits in any batch.
+        two_p = np.maximum(1.0 + _SIGNS * np.einsum("n,mn->m", self.r_b, ks), 0.0)
+        probs = np.ascontiguousarray(0.5 * two_p.T)
+        if self.d_a == 2:
+            # r_a + s J k = 2 p_s r_a + s C k.  The lower eigenvalue is det(M_s) / upper, with
+            # 16 det(M_s) = 4 p_s^2 (1 - |r_a|^2) - 4 p_s s r_a.Ck - |Ck|^2 free of cancellation
+            # when C is small; p_s is clipped at 0 above so the ratio stays bounded when B is pure.
+            ck = np.einsum("an,mn->am", self.corr, ks)
+            vecs = two_p * self.r_a[:, _2D, _2D] + _SIGNS * ck[:, _2D]
+            upper = 0.25 * (two_p + np.sqrt((vecs * vecs).sum(0)))
+            det16 = two_p * (two_p * self.mixedness - 2.0 * _SIGNS * np.einsum("n,nm", self.r_a, ck))
+            lower = (det16 - (ck * ck).sum(0)) / (16.0 * np.maximum(upper, _LOG_FLOOR))
+            lams = np.stack([lower.T, upper.T], -1)
+        else:
+            delta = (ks @ self.t_ops.reshape(3, -1)).reshape(len(ks), self.d_a, self.d_a)
+            lams = np.linalg.eigvalsh(0.5 * np.stack([self.rho_a + delta, self.rho_a - delta], 1))
+        if is_sphere_grid(dirs):
+            self._grid = (dirs, (probs, lams))
+        return probs, lams
 
     def conditional_entropy(self, dirs: np.ndarray, functional: EntropyFunctional) -> np.ndarray:
         """sum_s p_s S_f(rho_A|s) for each direction; shape (M,)."""
-        probs, blocks = self.measured_blocks(dirs)
-        lams = block_spectra(blocks)
+        probs, lams = self.measured_blocks(dirs)
         safe = np.where(probs > PROB_FLOOR, probs, 1.0)
-        cond = lams / safe[..., _2D]
-        s_branch = spectrum_entropy(cond, functional)
+        s_branch = spectrum_entropy(lams / safe[..., _2D], functional)
         return (np.where(probs > PROB_FLOOR, probs, 0.0) * s_branch).sum(axis=1)
 
     def measured_joint_entropy(self, dirs: np.ndarray, functional: EntropyFunctional) -> np.ndarray:
-        """S_f of the pinched joint state, from the combined block spectra."""
-        _, blocks = self.measured_blocks(dirs)
-        lams = block_spectra(blocks).reshape(len(blocks), 2 * self.d_a)
-        return spectrum_entropy(lams, functional)
+        """S_f of the pinched joint state, from the combined branch spectra."""
+        _, lams = self.measured_blocks(dirs)
+        return spectrum_entropy(lams.reshape(len(lams), 2 * self.d_a), functional)
+
+    def canonical(self, k) -> np.ndarray:
+        """k, or its image with k_y >= 0 on a real state and k_x >= 0 too on a parity-even one."""
+        canon = MeasurementDirection(k).k
+        image = np.where([self.real and self.parity, self.real, False], np.abs(canon), canon)
+        return k if np.array_equal(image, canon) else image
+
+
+_last: PairContext | None = None
+
+
+def cached_context(rho: DensityMatrix, layout: BipartiteLayout) -> PairContext | None:
+    """The last context built, if it is for this state object and layout."""
+    ctx = _last
+    return ctx if ctx is not None and ctx.rho is rho and ctx.layout == layout else None
+
+
+def pair_context(rho: DensityMatrix, layout: BipartiteLayout) -> PairContext:
+    """The context of (rho, layout), built only if :func:`cached_context` has none."""
+    global _last
+    ctx = cached_context(rho, layout)
+    if ctx is None:
+        ctx = _last = PairContext(rho, layout)
+    return ctx
 
 
 def stationarity_residual(

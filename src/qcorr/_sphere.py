@@ -47,6 +47,11 @@ def sphere_grid(grid_theta: int, grid_phi: int) -> np.ndarray:
     return k
 
 
+def is_sphere_grid(dirs) -> bool:
+    """Whether dirs is one of the shared, read-only :func:`sphere_grid` arrays."""
+    return any(dirs is grid for grid in _GRID_CACHE.values())
+
+
 def grid_minima(values: np.ndarray, grid_theta: int, grid_phi: int) -> np.ndarray:
     """Indices of the local minima of values on :func:`sphere_grid`, lowest first.
 

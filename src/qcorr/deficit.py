@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pairstate import PairContext, stationarity_residual
+from ._pairstate import cached_context, pair_context, stationarity_residual
 from ._sphere import dominant_direction
 from .discord import (
     CLOSED_FORM,
@@ -89,10 +89,10 @@ def deficit(
     if functional.family == FAMILY_RENYI:
         return renyi_deficit(rho, layout, functional.q, cfg)
     cfg = cfg or DEFAULT_SEARCH
-    ctx = PairContext(rho, layout)
+    ctx = pair_context(rho, layout)
     base = float(spectrum_entropy(ctx.joint_spectrum, functional))
     k, val = _grid_refine(lambda dirs: ctx.measured_joint_entropy(dirs, functional), cfg=cfg)
-    return _deficit_result(rho, layout, val - base, k, GRID_REFINE, functional)
+    return _deficit_result(rho, layout, val - base, ctx.canonical(k), GRID_REFINE, functional)
 
 
 def quadratic_deficit_closed(rho: DensityMatrix, layout: BipartiteLayout) -> OptimizationResult:
@@ -106,7 +106,11 @@ def quadratic_deficit_closed(rho: DensityMatrix, layout: BipartiteLayout) -> Opt
     tied = lams >= dm.lambda_max - TIE_TOL
     k = dominant_direction(vecs[:, tied])
     value = (dm.trace - dm.lambda_max) / layout.d_a
-    return _deficit_result(rho, layout, value, k, CLOSED_FORM, QUADRATIC)
+    result = _deficit_result(rho, layout, value, k, CLOSED_FORM, QUADRATIC)
+    ctx = cached_context(rho, layout)  # kept for IR2 where a search measure built one
+    if ctx is not None:
+        ctx.quadratic_deficit = result
+    return result
 
 
 def renyi_deficit(
@@ -117,16 +121,17 @@ def renyi_deficit(
 ) -> OptimizationResult:
     """Renyi-q deficit: min_k log2(Tr rho'^q / Tr rho^q) / (1 - q).
 
-    The optimizer is exactly the Tsallis-q one (closed form at q = 2), and
-    the value follows from the Tsallis deficit I_q at that optimizer:
+    The optimizer is exactly the Tsallis-q one (at q = 2 the closed form, the
+    state's own if already computed), and the value follows from I_q there:
     ``Tr rho'^q = Tr rho^q - (1 - 2^(1-q)) I_q``.
     """
     functional = tsallis(q)
     q = functional.q
+    ctx = pair_context(rho, layout)
     if q == 2.0:
-        inner = quadratic_deficit_closed(rho, layout)
+        inner = ctx.quadratic_deficit or quadratic_deficit_closed(rho, layout)
     else:
         inner = deficit(rho, layout, functional, cfg)
-    power_before = float((np.clip(np.linalg.eigvalsh(rho.entries), 0.0, None) ** q).sum())
+    power_before = float((np.clip(ctx.joint_spectrum, 0.0, None) ** q).sum())
     power_after = power_before - (1.0 - 2.0 ** (1.0 - q)) * inner.value
     return replace(inner, value=_clip_noise(np.log2(power_after / power_before) / (1.0 - q)))

@@ -30,11 +30,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pairstate import PairContext, stationarity_residual
+from ._pairstate import pair_context, stationarity_residual
 from ._sphere import dominant_direction, grid_minima, minimize_on_sphere, sphere_grid
-from .entropy import FAMILY_VON_NEUMANN, VON_NEUMANN, EntropyFunctional, entropy
+from .entropy import FAMILY_VON_NEUMANN, VON_NEUMANN, EntropyFunctional, spectrum_entropy
 from .measurement import MeasurementDirection
-from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose, partial_trace
+from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose
 
 CLOSED_FORM = "closed_form"
 GRID_REFINE = "grid_refine"
@@ -168,8 +168,9 @@ def conditional_entropy_min(
     up to the refinement tolerance, which is exercised by the test suite.
     """
     cfg = cfg or DEFAULT_SEARCH
-    ctx = PairContext(rho, layout)
+    ctx = pair_context(rho, layout)
     k, val = _grid_refine(lambda dirs: ctx.conditional_entropy(dirs, functional), cfg=cfg)
+    k = ctx.canonical(k)
     residual = None
     if functional.family == FAMILY_VON_NEUMANN:
         residual = stationarity_residual(rho, layout, k, functional, mode="discord")
@@ -187,8 +188,9 @@ def discord(
     (within 1e-9) are clipped to zero.
     """
     cond = conditional_entropy_min(rho, layout, VON_NEUMANN, cfg)
-    rho_b = partial_trace(rho, layout, keep="B")
-    baseline = entropy(rho, VON_NEUMANN) - entropy(rho_b, VON_NEUMANN)
+    ctx = pair_context(rho, layout)
+    s_b = spectrum_entropy(np.linalg.eigvalsh(ctx.rho_b), VON_NEUMANN)
+    baseline = float(spectrum_entropy(ctx.joint_spectrum, VON_NEUMANN) - s_b)
     return replace(cond, value=_clip_noise(cond.value - baseline))
 
 

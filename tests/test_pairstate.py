@@ -1,0 +1,184 @@
+"""The shared pair context: Bloch-form branch spectra, one context per pair,
+and the canonical image of a minimizer on symmetric states."""
+
+import importlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import pinched_blocks, random_density, random_pure
+from qcorr import _pairstate
+from qcorr._pairstate import PairContext
+from qcorr._sphere import sphere_grid
+from qcorr.deficit import deficit, quadratic_deficit_closed, renyi_deficit
+from qcorr.discord import SearchConfig, discord
+from qcorr.entropy import QUADRATIC, VON_NEUMANN, entropy, tsallis
+from qcorr.measurement import unread_state
+from qcorr.spinchain import SpinChainSpec, ground_state, reduced_pair
+from qcorr.statekit import BipartiteLayout, make_density
+from qcorr.sweep import ALL_MEASURES, measure_state
+
+LAY22 = BipartiteLayout(2, 2)
+COARSE = SearchConfig(grid_theta=16, grid_phi=32)
+#: Transverse fields of the README sweep (N=8, chi=0.5, 200 points up to 1.25).
+README_HZ = np.linspace(0.0, 1.25, 200)
+#: (h_z index, separation, measure) of the README sweep cells whose minimizer
+#: used to be reported with phi = pi, the mirror image of phi = 0.
+README_PI_CELLS = (
+    (97, 2, "I1"), (97, 4, "I1"), (99, 2, "I1"), (101, 4, "I1"), (102, 2, "I1"),
+    (104, 1, "I1"), (105, 3, "I1"), (107, 1, "I1"), (108, 4, "I1"), (112, 4, "I1"),
+    (191, 2, "D"),
+)
+
+
+def chain_pair(hz_index, separation):
+    spec = SpinChainSpec(n_sites=8, j_x=1.0, chi=0.5, field=(0.0, 0.0, README_HZ[hz_index]))
+    return reduced_pair(ground_state(spec), 0, separation)
+
+
+def make_state(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        return random_density(rng, 4)
+    if kind == "rank2":
+        return random_density(rng, 4, rank=2)
+    if kind == "pure":
+        return random_pure(rng, 4)
+    # a product with a pure B marginal, plus 1e-9..1e-3 of noise if B is to be nearly pure
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    product = np.kron(random_density(rng, 2).entries, np.outer(v, v.conj()) / np.vdot(v, v).real)
+    eps = 10.0 ** -rng.uniform(3.0, 9.0) if kind == "near_pure_b" else 0.0
+    return make_density((1.0 - eps) * product + eps * random_density(rng, 4).entries)
+
+
+KINDS = st.sampled_from(["mixed", "rank2", "pure", "near_pure_b", "pure_b"])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def vn_deficit_oracle(rho, k):
+    """S(rho'(k)) - S(rho) from the explicitly pinched state."""
+    return entropy(unread_state(rho, LAY22, k), VON_NEUMANN) - entropy(rho, VON_NEUMANN)
+
+
+class TestBlochForm:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(kind=KINDS, seed=SEEDS)
+    def test_spectra_match_explicit_blocks(self, kind, seed):
+        # Spectra p_s/2 -/+ |r_a + s J k|/4 against eigvalsh of Tr_B[rho (I x P_s)]
+        # built from explicit projectors, on random directions, the coordinate
+        # axes of a small grid and the directions along and against r_b.
+        rho = make_state(kind, seed)
+        ctx = PairContext(rho, LAY22)
+        rng = np.random.default_rng([seed, 1])
+        dirs = rng.normal(size=(24, 3))
+        dirs = np.vstack([dirs, sphere_grid(8, 8), ctx.r_b, -ctx.r_b])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        probs, lams = ctx.measured_blocks(dirs)
+        for s, blocks in enumerate(pinched_blocks(rho, LAY22, dirs)):
+            assert np.abs(lams[:, s] - np.linalg.eigvalsh(blocks)).max() < 1e-14
+            assert np.abs(probs[:, s] - np.einsum("maa->m", blocks).real).max() < 1e-14
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(kind=KINDS, seed=SEEDS)
+    def test_cached_grid_values_equal_single_row_calls(self, kind, seed):
+        ctx = PairContext(make_state(kind, seed), LAY22)
+        grid = sphere_grid(16, 32)
+        for functional in (VON_NEUMANN, QUADRATIC, tsallis(2.5)):
+            cond = ctx.conditional_entropy(grid, functional)
+            joint = ctx.measured_joint_entropy(grid, functional)
+            assert ctx.measured_blocks(grid) is ctx.measured_blocks(grid)  # served from the cache
+            for i in range(0, len(grid), 13):
+                row = grid[i : i + 1].copy()
+                assert cond[i] == ctx.conditional_entropy(row, functional)[0]
+                assert joint[i] == ctx.measured_joint_entropy(row, functional)[0]
+
+
+class TestPairMemo:
+    def test_all_measures_of_a_pair_build_one_context(self, monkeypatch):
+        built = []
+        init = PairContext.__init__
+
+        def counting_init(self, rho, layout):
+            built.append(rho)
+            init(self, rho, layout)
+
+        monkeypatch.setattr(PairContext, "__init__", counting_init)
+        pair = chain_pair(64, 2)
+        for measure in ALL_MEASURES:
+            measure_state(pair, measure)
+        assert built == [pair]
+        # closed forms alone need no context
+        measure_state(chain_pair(64, 1), "I2")
+        assert built == [pair]
+
+    def test_states_evaluated_alternately_keep_their_own_values(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        entries = [random_density(rng, 4).entries, random_density(rng, 4, rank=2).entries]
+        states = [make_density(m) for m in entries]
+        measures = (
+            lambda rho: discord(rho, LAY22, COARSE),
+            lambda rho: deficit(rho, LAY22, VON_NEUMANN, COARSE),
+            lambda rho: renyi_deficit(rho, LAY22, 2.0),
+        )
+        alone = []
+        for rho in states:
+            monkeypatch.setattr(_pairstate, "_last", None)
+            alone.append([f(rho).value for f in measures])
+        assert alone[0] != alone[1]
+        for j, f in enumerate(measures):
+            for i in (0, 1, 0, 1):
+                assert f(states[i]).value == alone[i][j]
+        # a new object for every evaluation, alternating between the two matrices
+        for i in (0, 1, 0, 1):
+            rho = make_density(entries[i])
+            assert [f(rho).value for f in measures] == alone[i]
+
+    def test_ir2_takes_the_closed_form_of_i2(self, monkeypatch):
+        # in the sweep's order: D builds the pair's context, I2 leaves its result there
+        pair = chain_pair(64, 2)
+        discord(pair, LAY22, COARSE)
+        i2 = quadratic_deficit_closed(pair, LAY22)
+        deficit_module = importlib.import_module("qcorr.deficit")
+        monkeypatch.setattr(deficit_module, "quadratic_deficit_closed", None)  # must not be called
+        ir2 = renyi_deficit(pair, LAY22, 2.0)
+        purity = np.vdot(pair.entries, pair.entries).real
+        assert abs(ir2.value + np.log2((purity - 0.5 * i2.value) / purity)) < 1e-14
+        assert ir2.k_star is i2.k_star and ir2.residual == i2.residual
+
+
+class TestCanonicalImage:
+    def test_readme_cells_that_read_pi_read_zero(self):
+        for index in sorted({cell[0] for cell in README_PI_CELLS}):
+            state = ground_state(
+                SpinChainSpec(n_sites=8, j_x=1.0, chi=0.5, field=(0.0, 0.0, README_HZ[index]))
+            )
+            for _, separation, measure in (c for c in README_PI_CELLS if c[0] == index):
+                cell = measure_state(reduced_pair(state, 0, separation), measure)
+                assert cell.phi == 0.0, (index, separation, measure, cell)
+
+    def test_reported_image_is_equivalent_on_the_symmetric_state(self):
+        pair = chain_pair(97, 2)
+        ctx = PairContext(pair, LAY22)
+        assert ctx.real and ctx.parity
+        res = deficit(pair, LAY22, VON_NEUMANN)
+        assert res.phi == 0.0 and res.k_star.k[0] > 0.0
+        assert abs(vn_deficit_oracle(pair, res.k_star) - res.value) < 1e-12
+
+    def test_state_perturbed_past_the_tolerance_is_not_mapped(self):
+        # A 1e-9 complex Hermitian perturbation breaks both symmetries: the
+        # mirror image then measures differently, and the search's own
+        # minimizer (here the one with k_x < 0) is reported as found.
+        pair = chain_pair(97, 2)
+        rng = np.random.default_rng(7)
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = h + h.conj().T
+        h -= np.trace(h) / 4.0 * np.eye(4)
+        rho = make_density(pair.entries + 1e-9 * h / np.abs(h).max())
+        ctx = PairContext(rho, LAY22)
+        assert not ctx.real and not ctx.parity
+        res = deficit(rho, LAY22, VON_NEUMANN)
+        k = res.k_star.k
+        assert k[0] < 0.0
+        assert abs(vn_deficit_oracle(rho, k) - res.value) < 1e-12
+        assert vn_deficit_oracle(rho, np.abs(k)) - res.value > 1e-11
