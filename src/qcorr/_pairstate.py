@@ -5,7 +5,9 @@ Tr_B[rho (I x P_sk)]`` of weight ``p_s = (1 + s k.r_b) / 2``.  For a qubit A,
 ``M_s = [2 p_s I + (r_a + s J k).sigma] / 4`` (J the cross-moment tensor): the
 branch Bloch vectors lie on the correlation ellipsoid and fix the spectra
 ``p_s/2 -/+ |r_a + s J k|/4``; larger A keep the blocks and ``eigvalsh``.  A
-pair's measures share one :func:`pair_context` and its last grid's spectra.
+pair's measures share one :func:`pair_context` and its last grid's spectra,
+and its detected symmetries fix both the folded search grid and the image in
+which a minimizer is reported.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class PairContext:
             self.mixedness = 4.0 * np.linalg.det(self.rho_a).real  # 1 - |r_a|^2
         self.real = np.abs(rho.entries.imag).max() <= SYMMETRY_TOL
         self.parity = self.d_a == 2 and np.abs(rho.entries[_ODD]).max() <= SYMMETRY_TOL
+        # Symmetries of every objective: even in k_y if real, and in k_x too if also parity-even.
+        self.fold = 2 if self.real and self.parity else int(self.real)
         self.quadratic_deficit = None  # stored by qcorr.deficit.quadratic_deficit_closed
         self._grid = (None, None)
 
@@ -95,9 +99,9 @@ class PairContext:
         return spectrum_entropy(lams.reshape(len(lams), 2 * self.d_a), functional)
 
     def canonical(self, k) -> np.ndarray:
-        """k, or its image with k_y >= 0 on a real state and k_x >= 0 too on a parity-even one."""
+        """k, or its image under :attr:`fold`: k_y >= 0 (fold 1), and k_x >= 0 too (fold 2)."""
         canon = MeasurementDirection(k).k
-        image = np.where([self.real and self.parity, self.real, False], np.abs(canon), canon)
+        image = np.where([self.fold == 2, self.fold > 0, False], np.abs(canon), canon)
         return k if np.array_equal(image, canon) else image
 
 

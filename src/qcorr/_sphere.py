@@ -1,7 +1,9 @@
 """Sphere-search machinery shared by the discord and deficit optimizers.
 
 Objectives here are even in k (k and -k define the same projective
-measurement), so the grid covers the upper hemisphere only.  Refinement is a
+measurement), so the grid covers the upper hemisphere only.  An objective
+that is also even in k_y, or in (k_x, k_y) as well, is evaluated only on the
+grid points that represent their orbits (:func:`folded_grid`).  Refinement is a
 batched finite-difference Newton method in local tangent charts, which avoid
 the polar coordinate singularity.  Each iteration evaluates a 9-point stencil
 around every active start in one call to the batched objective; the Newton
@@ -24,7 +26,7 @@ FD_STEP_MIN = 1e-8
 #: finite-difference bias of the final point.
 SETTLE_WIDTH = 2e-4
 
-_GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_GRID_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 # Unit chart offsets of the 3x3 stencil; row 4 is the centre.
 _STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
 _CENTRE = 4
@@ -32,24 +34,44 @@ _CENTRE = 4
 
 def sphere_grid(grid_theta: int, grid_phi: int) -> np.ndarray:
     """Upper-hemisphere direction grid, shape (M, 3), poles included."""
-    key = (grid_theta, grid_phi)
-    cached = _GRID_CACHE.get(key)
-    if cached is not None:
-        return cached
-    thetas = np.linspace(0.0, 0.5 * np.pi, grid_theta + 1)
-    phis = np.linspace(0.0, 2.0 * np.pi, grid_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    k = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    ).reshape(-1, 3)
-    k.setflags(write=False)
-    _GRID_CACHE[key] = k
-    return k
+    return folded_grid(grid_theta, grid_phi)[0]
+
+
+def folded_grid(grid_theta: int, grid_phi: int, fold: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit representatives of :func:`sphere_grid` and the map onto them.
+
+    ``fold`` 1 identifies phi with -phi (an objective even in k_y), and 2
+    also with phi + pi (even in (k_x, k_y) too), leaving phi in [0, pi] or
+    [0, pi/2]; the half turn maps grid columns onto columns only for even
+    ``grid_phi``, so odd ones fold by the mirror alone.  A folded grid counts
+    the pole once.  Returns the representative directions (rows of
+    :func:`sphere_grid`) and, for every full-grid point, its row among them;
+    both arrays are shared and read-only.
+    """
+    fold = 1 if fold == 2 and grid_phi % 2 else fold
+    key = (grid_theta, grid_phi, fold)
+    if key not in _GRID_CACHE:
+        thetas = np.linspace(0.0, 0.5 * np.pi, grid_theta + 1)
+        phis = np.linspace(0.0, 2.0 * np.pi, grid_phi, endpoint=False)
+        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+        k = np.stack(
+            [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
+        ).reshape(-1, 3)
+        orbit = np.arange(len(k))
+        if fold:  # column j's orbit: +/-j plus multiples of period; the pole is one point
+            col, period = orbit % grid_phi, grid_phi // fold
+            rep = np.where(orbit < grid_phi, 0, orbit - col + np.minimum(col % period, -col % period))
+            reps, orbit = np.unique(rep, return_inverse=True)
+            k = k[reps]
+        k.setflags(write=False)
+        orbit.setflags(write=False)
+        _GRID_CACHE[key] = (k, orbit)
+    return _GRID_CACHE[key]
 
 
 def is_sphere_grid(dirs) -> bool:
-    """Whether dirs is one of the shared, read-only :func:`sphere_grid` arrays."""
-    return any(dirs is grid for grid in _GRID_CACHE.values())
+    """Whether dirs is one of the shared, read-only :func:`folded_grid` arrays."""
+    return any(dirs is grid for grid, _ in _GRID_CACHE.values())
 
 
 def grid_minima(values: np.ndarray, grid_theta: int, grid_phi: int) -> np.ndarray:

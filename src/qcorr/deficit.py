@@ -91,7 +91,8 @@ def deficit(
     cfg = cfg or DEFAULT_SEARCH
     ctx = pair_context(rho, layout)
     base = float(spectrum_entropy(ctx.joint_spectrum, functional))
-    k, val = _grid_refine(lambda dirs: ctx.measured_joint_entropy(dirs, functional), cfg=cfg)
+    objective = lambda dirs: ctx.measured_joint_entropy(dirs, functional)  # noqa: E731
+    k, val = _grid_refine(objective, cfg=cfg, fold=ctx.fold)
     return _deficit_result(rho, layout, val - base, ctx.canonical(k), GRID_REFINE, functional)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._pairstate import pair_context, stationarity_residual
-from ._sphere import dominant_direction, grid_minima, minimize_on_sphere, sphere_grid
+from ._sphere import dominant_direction, folded_grid, grid_minima, minimize_on_sphere
 from .entropy import FAMILY_VON_NEUMANN, VON_NEUMANN, EntropyFunctional, spectrum_entropy
 from .measurement import MeasurementDirection
 from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose
@@ -135,17 +135,20 @@ def _clip_noise(value: float) -> float:
     return 0.0 if -1e-9 < value < 0.0 else float(value)
 
 
-def _grid_refine(objective, cfg: SearchConfig):
+def _grid_refine(objective, cfg: SearchConfig, *, fold: int = 0):
     """Hemisphere grid, then Newton refinement of its lowest local minima.
 
-    ``objective`` maps an (M, 3) array of directions to (M,) values.  Up to
-    :data:`REFINE_STARTS` grid minima are refined together, with the grid
-    spacing as initial trust radius; the result is never worse than the
-    grid minimum.
+    ``objective`` maps an (M, 3) array of directions to (M,) values.  With
+    ``fold`` (see :func:`qcorr._sphere.folded_grid`) it is evaluated only on
+    the orbit representatives, and every other grid point takes the value of
+    its representative.  Up to :data:`REFINE_STARTS` grid minima, one per
+    orbit, are refined together, with the grid spacing as initial trust
+    radius; the result is never worse than the grid minimum.
     """
-    grid = sphere_grid(cfg.grid_theta, cfg.grid_phi)
+    grid, orbit = folded_grid(cfg.grid_theta, cfg.grid_phi, fold)
     values = objective(grid)
-    starts = grid_minima(values, cfg.grid_theta, cfg.grid_phi)[:REFINE_STARTS]
+    found = orbit[grid_minima(values[orbit], cfg.grid_theta, cfg.grid_phi)]
+    starts = found[np.sort(np.unique(found, return_index=True)[1])][:REFINE_STARTS]
     step = max(0.5 * np.pi / cfg.grid_theta, 2.0 * np.pi / cfg.grid_phi)
     ks, vals = minimize_on_sphere(
         objective, grid[starts], step, cfg.refine_tol, cfg.refine_max_iter
@@ -169,7 +172,8 @@ def conditional_entropy_min(
     """
     cfg = cfg or DEFAULT_SEARCH
     ctx = pair_context(rho, layout)
-    k, val = _grid_refine(lambda dirs: ctx.conditional_entropy(dirs, functional), cfg=cfg)
+    objective = lambda dirs: ctx.conditional_entropy(dirs, functional)  # noqa: E731
+    k, val = _grid_refine(objective, cfg=cfg, fold=ctx.fold)
     k = ctx.canonical(k)
     residual = None
     if functional.family == FAMILY_VON_NEUMANN:

@@ -235,7 +235,8 @@ def ground_state(spec: SpinChainSpec) -> GroundState:
         return replace(lower, degenerate=True, side_limits=side)
     w, v = _lowest_levels(h_sparse, 2)
     degenerate = abs(w[1] - w[0]) <= DEGENERACY_RTOL * scale
-    return GroundState(float(w[0]), v[:, 0], PARITY_BROKEN, degenerate=degenerate)
+    # A copy, so that the state does not keep the second eigenvector alive through a view.
+    return GroundState(float(w[0]), v[:, 0].copy(), PARITY_BROKEN, degenerate=degenerate)
 
 
 def parity_sector_energies(spec: SpinChainSpec) -> tuple[float, float]:
