@@ -1,16 +1,19 @@
-"""Vectorized measurement surfaces for a fixed qudit-qubit state.
+"""Vectorized measurement surfaces for qudit-qubit states.
 
 Measuring the qubit B along k leaves A in the branches ``M_s(k) =
 Tr_B[rho (I x P_sk)]`` of weight ``p_s = (1 + s k.r_b) / 2``.  For a qubit A,
 ``M_s = [2 p_s I + (r_a + s J k).sigma] / 4`` (J the cross-moment tensor): the
 branch Bloch vectors lie on the correlation ellipsoid and fix the spectra
 ``p_s/2 -/+ |r_a + s J k|/4``; larger A keep the blocks and ``eigvalsh``.  A
-pair's measures share one :func:`pair_context` and its last grid's spectra,
+:class:`SearchStack` evaluates the searches of many pairs together; one
+state's measures share one :func:`pair_context` and its last grid's spectra,
 and its detected symmetries fix both the folded search grid and the image in
 which a minimizer is reported.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -66,20 +69,12 @@ class PairContext:
         if dirs is grid:
             return cached
         ks = np.atleast_2d(np.asarray(dirs, dtype=float))
-        # Rows s = +/-1; einsum, unlike matmul, gives a direction the same bits in any batch.
-        two_p = np.maximum(1.0 + _SIGNS * np.einsum("n,mn->m", self.r_b, ks), 0.0)
-        probs = np.ascontiguousarray(0.5 * two_p.T)
         if self.d_a == 2:
-            # r_a + s J k = 2 p_s r_a + s C k.  The lower eigenvalue is det(M_s) / upper, with
-            # 16 det(M_s) = 4 p_s^2 (1 - |r_a|^2) - 4 p_s s r_a.Ck - |Ck|^2 free of cancellation
-            # when C is small; p_s is clipped at 0 above so the ratio stays bounded when B is pure.
-            ck = np.einsum("an,mn->am", self.corr, ks)
-            vecs = two_p * self.r_a[:, _2D, _2D] + _SIGNS * ck[:, _2D]
-            upper = 0.25 * (two_p + np.sqrt((vecs * vecs).sum(0)))
-            det16 = two_p * (two_p * self.mixedness - 2.0 * _SIGNS * np.einsum("n,nm", self.r_a, ck))
-            lower = (det16 - (ck * ck).sum(0)) / (16.0 * np.maximum(upper, _LOG_FLOOR))
-            lams = np.stack([lower.T, upper.T], -1)
+            forms = (self.r_a[_2D], self.r_b[_2D], self.corr[_2D], self.mixedness)
+            probs, lams = _bloch_blocks(*forms, ks)
         else:
+            two_p = np.maximum(1.0 + _SIGNS * np.einsum("n,mn->m", self.r_b, ks), 0.0)
+            probs = np.ascontiguousarray(0.5 * two_p.T)
             delta = (ks @ self.t_ops.reshape(3, -1)).reshape(len(ks), self.d_a, self.d_a)
             lams = np.linalg.eigvalsh(0.5 * np.stack([self.rho_a + delta, self.rho_a - delta], 1))
         if is_sphere_grid(dirs):
@@ -88,21 +83,88 @@ class PairContext:
 
     def conditional_entropy(self, dirs: np.ndarray, functional: EntropyFunctional) -> np.ndarray:
         """sum_s p_s S_f(rho_A|s) for each direction; shape (M,)."""
-        probs, lams = self.measured_blocks(dirs)
-        safe = np.where(probs > PROB_FLOOR, probs, 1.0)
-        s_branch = spectrum_entropy(lams / safe[..., _2D], functional)
-        return (np.where(probs > PROB_FLOOR, probs, 0.0) * s_branch).sum(axis=1)
+        return _conditional(*self.measured_blocks(dirs), functional)
 
     def measured_joint_entropy(self, dirs: np.ndarray, functional: EntropyFunctional) -> np.ndarray:
         """S_f of the pinched joint state, from the combined branch spectra."""
-        _, lams = self.measured_blocks(dirs)
-        return spectrum_entropy(lams.reshape(len(lams), 2 * self.d_a), functional)
+        return _joint(*self.measured_blocks(dirs), functional)
 
     def canonical(self, k) -> np.ndarray:
         """k, or its image under :attr:`fold`: k_y >= 0 (fold 1), and k_x >= 0 too (fold 2)."""
         canon = MeasurementDirection(k).k
         image = np.where([self.fold == 2, self.fold > 0, False], np.abs(canon), canon)
         return k if np.array_equal(image, canon) else image
+
+
+def _bloch_blocks(r_a, r_b, corr, mixedness, ks):
+    """:meth:`PairContext.measured_blocks` for a qubit A, from one or per-row Bloch forms."""
+    # Rows s = +/-1.  Dots with r_a and r_b are summed in order, as einsum does for a context's
+    # strided r_a and r_b but not for contiguous stacked rows (fused multiply-adds), so a
+    # direction gets the same bits in any batch; so does einsum's contraction with C.
+    rb_k = r_b * ks
+    two_p = np.maximum(1.0 + _SIGNS * (rb_k[:, 0] + rb_k[:, 1] + rb_k[:, 2]), 0.0)
+    # r_a + s J k = 2 p_s r_a + s C k.  The lower eigenvalue is det(M_s) / upper, with
+    # 16 det(M_s) = 4 p_s^2 (1 - |r_a|^2) - 4 p_s s r_a.Ck - |Ck|^2 free of cancellation
+    # when C is small; p_s is clipped at 0 above so the ratio stays bounded when B is pure.
+    ck = np.einsum("man,mn->am", corr, ks)
+    vecs = two_p * r_a.T[:, _2D] + _SIGNS * ck[:, _2D]
+    upper = 0.25 * (two_p + np.sqrt((vecs * vecs).sum(0)))
+    ra_ck = r_a * ck.T
+    det16 = two_p * (two_p * mixedness - 2.0 * _SIGNS * (ra_ck[:, 0] + ra_ck[:, 1] + ra_ck[:, 2]))
+    lower = (det16 - (ck * ck).sum(0)) / (16.0 * np.maximum(upper, _LOG_FLOOR))
+    return np.ascontiguousarray(0.5 * two_p.T), np.stack([lower.T, upper.T], -1)
+
+
+def _conditional(probs, lams, functional):
+    safe = np.where(probs > PROB_FLOOR, probs, 1.0)
+    s_branch = spectrum_entropy(lams / safe[..., _2D], functional)
+    return (np.where(probs > PROB_FLOOR, probs, 0.0) * s_branch).sum(axis=1)
+
+
+def _joint(probs, lams, functional):
+    return spectrum_entropy(lams.reshape(len(lams), 2 * lams.shape[2]), functional)
+
+
+class SearchStack:
+    """The objectives of searches ``(ctx, joint, functional)``, evaluated together.
+
+    A search's objective is its context's measured joint entropy if
+    ``joint``, else its conditional entropy.  ``stack(dirs, i)`` is search
+    i's on every direction, through the context's own methods and cached
+    grid spectra; for an array ``i`` row j is search ``i[j]``'s.  The spectra
+    of several contexts come from per-row Bloch forms, so these need a qubit
+    A.
+    """
+
+    def __init__(self, searches):
+        self.surfaces = [
+            partial(ctx.measured_joint_entropy if joint else ctx.conditional_entropy, functional=f)
+            for ctx, joint, f in searches
+        ]
+        ctxs = list({id(ctx): ctx for ctx, _, _ in searches}.values())
+        self.kinds = list(dict.fromkeys((joint, f) for _, joint, f in searches))
+        self.of = np.array([(ctxs.index(c), self.kinds.index((j, f))) for c, j, f in searches]).T
+        self.one = ctxs[0] if len(ctxs) == 1 else None
+        if self.one is None:
+            if any(c.d_a != 2 for c in ctxs):  # d_A > 2 contracts by matmul, batch-dependent
+                raise ValueError("a state with d_A > 2 is searched alone")
+            names = ("r_a", "r_b", "corr", "mixedness")
+            self.forms = [np.array([getattr(c, n) for c in ctxs]) for n in names]
+
+    def __call__(self, dirs, owner=0):
+        if isinstance(owner, int):
+            return self.surfaces[owner](dirs)
+        if self.one is not None:
+            blocks = self.one.measured_blocks(dirs)
+        else:
+            ctx_of = self.of[0, owner]
+            blocks = _bloch_blocks(*(form[ctx_of] for form in self.forms), dirs)
+        values, kind = np.empty(len(dirs)), self.of[1, owner]
+        for j, (joint, functional) in enumerate(self.kinds):
+            rows = kind == j
+            surface = _joint if joint else _conditional
+            values[rows] = surface(*(b[rows] for b in blocks), functional)
+        return values
 
 
 _last: PairContext | None = None
@@ -145,17 +207,33 @@ def stationarity_residual(
     if mode == "discord" and functional.family != FAMILY_VON_NEUMANN:
         raise UnsupportedFamily("discord-mode residual is defined for the von Neumann family")
     layout.check(rho)
-    d_a = layout.d_a
-    four = rho.entries.reshape(d_a, 2, d_a, 2)
-    plus = projector(k)
-    projs = np.stack([plus, np.eye(2) - plus])
-    lams, vecs = np.linalg.eigh(np.einsum("aibj,sji->sab", four, projs))
-    f_blocks = (vecs * f_prime_values(lams, functional)[:, _2D]) @ vecs.conj().swapaxes(1, 2)
-    fp = np.einsum("sab,sij->aibj", f_blocks, projs).reshape(rho.dim, rho.dim)
-    comm = fp @ rho.entries - rho.entries @ fp
-    reduced = np.einsum("aiaj->ij", comm.reshape(d_a, 2, d_a, 2))
-    if mode == "discord":
-        rho_b = np.einsum("aiaj->ij", four)
-        log_b = np.einsum("s,sij->ij", np.log2(np.clip(lams.sum(1), _LOG_FLOOR, None)), projs)
-        reduced = reduced + (log_b @ rho_b - rho_b @ log_b)
-    return float(np.linalg.norm(reduced))
+    return stationarity_residuals([rho], [k], [functional], [mode])[0]
+
+
+def stationarity_residuals(rhos, ks, functionals, modes) -> list:
+    """Unvalidated :func:`stationarity_residual` of states of one layout, as one batch.
+
+    A state whose mode is None gets None.
+    """
+    take = [i for i, mode in enumerate(modes) if mode]
+    out = [None] * len(modes)
+    if not take:
+        return out
+    rho = np.array([rhos[i].entries for i in take])
+    four = rho.reshape(len(take), -1, 2, rho.shape[1] // 2, 2)
+    plus = np.array([projector(ks[i]) for i in take])
+    projs = np.stack([plus, np.eye(2) - plus], 1)
+    lams, vecs = np.linalg.eigh(np.einsum("naibj,nsji->nsab", four, projs))
+    f_lams = np.array([f_prime_values(lams[j], functionals[i]) for j, i in enumerate(take)])
+    f_blocks = (vecs * f_lams[..., _2D, :]) @ vecs.conj().swapaxes(-1, -2)
+    fp = np.einsum("nsab,nsij->naibj", f_blocks, projs).reshape(rho.shape)
+    comm = fp @ rho - rho @ fp
+    reduced = np.einsum("naiaj->nij", comm.reshape(four.shape))
+    discord = np.array([modes[i] == "discord" for i in take])
+    if discord.any():
+        rho_b = np.einsum("naiaj->nij", four)
+        log_b = np.einsum("ns,nsij->nij", np.log2(np.clip(lams.sum(-1), _LOG_FLOOR, None)), projs)
+        reduced = reduced + discord[:, _2D, _2D] * (log_b @ rho_b - rho_b @ log_b)
+    for i, norm in zip(take, np.linalg.norm(reduced, axis=(1, 2))):
+        out[i] = float(norm)
+    return out

@@ -162,7 +162,7 @@ def _steps(model, radius):
     return np.stack([s1, s2], -1), pred
 
 
-def minimize_on_sphere(objective, starts, radius, refine_tol, max_iter):
+def minimize_on_sphere(objective, starts, radius, refine_tol, max_iter, owners=None):
     """Batched finite-difference Newton descent on the sphere from several starts.
 
     ``objective`` maps an (M, 3) array of unit vectors to (M,) values.  Each
@@ -179,7 +179,8 @@ def minimize_on_sphere(objective, starts, radius, refine_tol, max_iter):
     than ``refine_tol`` has been evaluated and did not gain more; steps from
     stencils wider than :data:`SETTLE_WIDTH` do not count, and steps from
     stencils at :data:`FD_STEP_MIN` count whatever their prediction.  All
-    starts stop after ``max_iter`` iterations.
+    starts stop after ``max_iter`` iterations.  With ``owners``, the search
+    that owns each start, the objective is ``objective(dirs, owner of each row)``.
 
     Returns the final directions (n, 3) and values (n,), one per start.
     """
@@ -200,7 +201,8 @@ def minimize_on_sphere(objective, starts, radius, refine_tol, max_iter):
         pu, pv = _tangent_bases(pending[idx])
         points = _chart(pending[idx], pu, pv, width[idx, None, None] * _STENCIL)
         points[:, _CENTRE] = pending[idx]
-        vals = np.asarray(objective(points.reshape(-1, 3))).reshape(idx.size, 9)
+        rows = () if owners is None else (np.repeat(owners[idx], 9),)
+        vals = np.asarray(objective(points.reshape(-1, 3), *rows)).reshape(idx.size, 9)
         # A re-estimate (zero step) is always taken, even if the centre
         # value differs from the stored one in the last bit.
         accepted = (vals[:, _CENTRE] <= value[idx]) | (reach[idx] == 0.0)

@@ -31,20 +31,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pairstate import cached_context, pair_context, stationarity_residual
+from ._pairstate import cached_context, pair_context, stationarity_residual  # noqa: F401 (public)
 from ._sphere import dominant_direction
 from .discord import (
     CLOSED_FORM,
-    DEFAULT_SEARCH,
-    GRID_REFINE,
     TIE_TOL,
     OptimizationResult,
     SearchConfig,
     _clip_noise,
-    _grid_refine,
+    _optimize,
 )
-from .entropy import FAMILY_RENYI, QUADRATIC, EntropyFunctional, spectrum_entropy, tsallis
-from .measurement import MeasurementDirection
+from .entropy import FAMILY_RENYI, QUADRATIC, EntropyFunctional, tsallis
 from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose
 
 
@@ -63,17 +60,14 @@ class DeficitMatrix:
 
 def deficit_matrix(rho: DensityMatrix, layout: BipartiteLayout) -> DeficitMatrix:
     """Build ``r_b r_b^T + J^T J`` from the Bloch decomposition."""
-    dec = bloch_decompose(rho, layout)
+    return _deficit_matrix(bloch_decompose(rho, layout))
+
+
+def _deficit_matrix(dec) -> DeficitMatrix:
     m = np.outer(dec.r_b, dec.r_b) + dec.moment.T @ dec.moment
     m = 0.5 * (m + m.T)
     lams = np.linalg.eigvalsh(m)
     return DeficitMatrix(matrix=m, lambda_max=float(lams[-1]), trace=float(np.trace(m)))
-
-
-def _deficit_result(rho, layout, value, k_vec, method, functional) -> OptimizationResult:
-    kd = MeasurementDirection(k_vec)
-    residual = stationarity_residual(rho, layout, kd, functional, mode="deficit")
-    return OptimizationResult(_clip_noise(value), kd, method, residual)
 
 
 def deficit(
@@ -88,12 +82,7 @@ def deficit(
     """
     if functional.family == FAMILY_RENYI:
         return renyi_deficit(rho, layout, functional.q, cfg)
-    cfg = cfg or DEFAULT_SEARCH
-    ctx = pair_context(rho, layout)
-    base = float(spectrum_entropy(ctx.joint_spectrum, functional))
-    objective = lambda dirs: ctx.measured_joint_entropy(dirs, functional)  # noqa: E731
-    k, val = _grid_refine(objective, cfg=cfg, fold=ctx.fold)
-    return _deficit_result(rho, layout, val - base, ctx.canonical(k), GRID_REFINE, functional)
+    return _optimize([(pair_context(rho, layout), "I", functional)], cfg)[0]
 
 
 def quadratic_deficit_closed(rho: DensityMatrix, layout: BipartiteLayout) -> OptimizationResult:
@@ -102,16 +91,19 @@ def quadratic_deficit_closed(rho: DensityMatrix, layout: BipartiteLayout) -> Opt
     At an exact eigenvalue tie the reported direction maximizes |k_z| and
     then |k_x| within the tied subspace, so sweep outputs step cleanly.
     """
-    dm = deficit_matrix(rho, layout)
-    lams, vecs = np.linalg.eigh(dm.matrix)
-    tied = lams >= dm.lambda_max - TIE_TOL
-    k = dominant_direction(vecs[:, tied])
-    value = (dm.trace - dm.lambda_max) / layout.d_a
-    result = _deficit_result(rho, layout, value, k, CLOSED_FORM, QUADRATIC)
+    result = _optimize([], closed=[_i2_row(rho, bloch_decompose(rho, layout), layout.d_a)])[0]
     ctx = cached_context(rho, layout)  # kept for IR2 where a search measure built one
     if ctx is not None:
         ctx.quadratic_deficit = result
     return result
+
+
+def _i2_row(rho, dec, d_a: int) -> tuple:
+    """The closed-form quadratic deficit as a closed row of :func:`qcorr.discord._optimize`."""
+    dm = _deficit_matrix(dec)
+    lams, vecs = np.linalg.eigh(dm.matrix)
+    k = dominant_direction(vecs[:, lams >= dm.lambda_max - TIE_TOL])
+    return rho, _clip_noise((dm.trace - dm.lambda_max) / d_a), k, CLOSED_FORM, QUADRATIC, "deficit"
 
 
 def renyi_deficit(
@@ -133,6 +125,11 @@ def renyi_deficit(
         inner = ctx.quadratic_deficit or quadratic_deficit_closed(rho, layout)
     else:
         inner = deficit(rho, layout, functional, cfg)
-    power_before = float((np.clip(ctx.joint_spectrum, 0.0, None) ** q).sum())
+    return _renyi_from(inner, ctx.joint_spectrum, q)
+
+
+def _renyi_from(inner: OptimizationResult, spectrum, q: float) -> OptimizationResult:
+    """The Renyi-q deficit from the Tsallis-q result ``inner`` of a state of this spectrum."""
+    power_before = float((np.clip(spectrum, 0.0, None) ** q).sum())
     power_after = power_before - (1.0 - 2.0 ** (1.0 - q)) * inner.value
     return replace(inner, value=_clip_noise(np.log2(power_after / power_before) / (1.0 - q)))

@@ -26,11 +26,11 @@ correlation ellipsoid traced by the post-measurement Bloch vectors of A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._pairstate import pair_context, stationarity_residual
+from ._pairstate import SearchStack, pair_context, stationarity_residuals
 from ._sphere import dominant_direction, folded_grid, grid_minima, minimize_on_sphere
 from .entropy import FAMILY_VON_NEUMANN, VON_NEUMANN, EntropyFunctional, spectrum_entropy
 from .measurement import MeasurementDirection
@@ -135,28 +135,71 @@ def _clip_noise(value: float) -> float:
     return 0.0 if -1e-9 < value < 0.0 else float(value)
 
 
-def _grid_refine(objective, cfg: SearchConfig, *, fold: int = 0):
-    """Hemisphere grid, then Newton refinement of its lowest local minima.
+def _grid_refine(objective, cfg: SearchConfig, *, folds=(0,)):
+    """Hemisphere grids, then one Newton refinement of every search's lowest local minima.
 
-    ``objective`` maps an (M, 3) array of directions to (M,) values.  With
-    ``fold`` (see :func:`qcorr._sphere.folded_grid`) it is evaluated only on
-    the orbit representatives, and every other grid point takes the value of
-    its representative.  Up to :data:`REFINE_STARTS` grid minima, one per
-    orbit, are refined together, with the grid spacing as initial trust
-    radius; the result is never worse than the grid minimum.
+    ``objective(dirs, i)`` gives search i's values at the (M, 3) directions,
+    ``objective(dirs)`` those of search 0 (all that a plain objective of one
+    search takes), and for an (M,) array i row j's of search ``i[j]``.
+    Search i is evaluated on the orbit representatives of ``folds[i]`` (see
+    :func:`qcorr._sphere.folded_grid`) only, the other grid points taking
+    their representative's value.  Up to :data:`REFINE_STARTS` grid minima
+    of each search, one per orbit, are refined in one run, with the grid
+    spacing as initial trust radius.  Each search keeps its best start, never
+    worse than its grid minimum; returns their directions (n, 3) and values
+    (n,).
     """
-    grid, orbit = folded_grid(cfg.grid_theta, cfg.grid_phi, fold)
-    values = objective(grid)
-    found = orbit[grid_minima(values[orbit], cfg.grid_theta, cfg.grid_phi)]
-    starts = found[np.sort(np.unique(found, return_index=True)[1])][:REFINE_STARTS]
+    grids = [folded_grid(cfg.grid_theta, cfg.grid_phi, fold) for fold in folds]
+    values = [objective(grid, i) if i else objective(grid) for i, (grid, _) in enumerate(grids)]
+    starts = []
+    for v, (_, orbit) in zip(values, grids):
+        found = orbit[grid_minima(v[orbit], cfg.grid_theta, cfg.grid_phi)]
+        starts.append(found[np.sort(np.unique(found, return_index=True)[1])][:REFINE_STARTS])
+    owners = np.repeat(np.arange(len(grids)), [len(f) for f in starts])
     step = max(0.5 * np.pi / cfg.grid_theta, 2.0 * np.pi / cfg.grid_phi)
+    points = np.concatenate([grid[f] for (grid, _), f in zip(grids, starts)])
+    one = len(grids) == 1  # one search is called as objective(dirs)
     ks, vals = minimize_on_sphere(
-        objective, grid[starts], step, cfg.refine_tol, cfg.refine_max_iter
+        objective, points, step, cfg.refine_tol, cfg.refine_max_iter, None if one else owners
     )
-    best = int(np.flatnonzero(vals <= vals.min() + BASIN_TIE)[0])
-    if values[starts[0]] < vals[best]:
-        return grid[starts[0]], float(values[starts[0]])
-    return ks[best], float(vals[best])
+    best = []
+    for i, ((grid, _), first, v) in enumerate(zip(grids, starts, values)):
+        k_i, v_i = ks[owners == i], vals[owners == i]
+        j = int(np.flatnonzero(v_i <= v_i.min() + BASIN_TIE)[0])
+        best.append((grid[first[0]], v[first[0]]) if v[first[0]] < v_i[j] else (k_i[j], v_i[j]))
+    return np.array([k for k, _ in best]), np.array([v for _, v in best])
+
+
+def _optimize(jobs, cfg: SearchConfig | None = None, closed=()) -> list[OptimizationResult]:
+    """Results of searches ``(ctx, measure, functional)`` run as one stack, then of ``closed`` rows.
+
+    Measure "D" is the discord, "S" the minimum conditional entropy and "I" the
+    deficit.  A closed row is ``(rho, value, k, method, functional, residual
+    mode)``; all residuals come from one batched call.
+    """
+    rows = []
+    if jobs:
+        stack = SearchStack([(ctx, measure == "I", f) for ctx, measure, f in jobs])
+        folds = [ctx.fold for ctx, _, _ in jobs]
+        ks, vals = _grid_refine(stack, cfg=cfg or DEFAULT_SEARCH, folds=folds)
+        for (ctx, measure, f), k, value in zip(jobs, ks, vals):
+            mode = "discord" if f.family == FAMILY_VON_NEUMANN else None
+            joint = spectrum_entropy(ctx.joint_spectrum, f)
+            if measure == "D":
+                s_b = spectrum_entropy(np.linalg.eigvalsh(ctx.rho_b), VON_NEUMANN)
+                value = _clip_noise(value - float(joint - s_b))
+            elif measure == "I":
+                value, mode = _clip_noise(value - float(joint)), "deficit"
+            rows.append((ctx.rho, value, ctx.canonical(k), GRID_REFINE, f, mode))
+    rows += closed
+    if not rows:
+        return []
+    kds = [MeasurementDirection(row[2]) for row in rows]
+    residuals = stationarity_residuals(*zip(*((r[0], kd, r[4], r[5]) for r, kd in zip(rows, kds))))
+    return [
+        OptimizationResult(float(row[1]), kd, row[3], res)
+        for row, kd, res in zip(rows, kds, residuals)
+    ]
 
 
 def conditional_entropy_min(
@@ -170,15 +213,7 @@ def conditional_entropy_min(
     For the quadratic family this agrees with :func:`quadratic_closed_form`
     up to the refinement tolerance, which is exercised by the test suite.
     """
-    cfg = cfg or DEFAULT_SEARCH
-    ctx = pair_context(rho, layout)
-    objective = lambda dirs: ctx.conditional_entropy(dirs, functional)  # noqa: E731
-    k, val = _grid_refine(objective, cfg=cfg, fold=ctx.fold)
-    k = ctx.canonical(k)
-    residual = None
-    if functional.family == FAMILY_VON_NEUMANN:
-        residual = stationarity_residual(rho, layout, k, functional, mode="discord")
-    return _result(val, k, GRID_REFINE, residual)
+    return _optimize([(pair_context(rho, layout), "S", functional)], cfg)[0]
 
 
 def discord(
@@ -191,11 +226,7 @@ def discord(
     Nonnegative by concavity; tiny negative values from floating-point noise
     (within 1e-9) are clipped to zero.
     """
-    cond = conditional_entropy_min(rho, layout, VON_NEUMANN, cfg)
-    ctx = pair_context(rho, layout)
-    s_b = spectrum_entropy(np.linalg.eigvalsh(ctx.rho_b), VON_NEUMANN)
-    baseline = float(spectrum_entropy(ctx.joint_spectrum, VON_NEUMANN) - s_b)
-    return replace(cond, value=_clip_noise(cond.value - baseline))
+    return _optimize([(pair_context(rho, layout), "D", VON_NEUMANN)], cfg)[0]
 
 
 def _whitener(r_b: np.ndarray) -> np.ndarray:
@@ -217,8 +248,11 @@ def quadratic_closed_form(rho: DensityMatrix, layout: BipartiteLayout) -> Optimi
     any direction is optimal and the result carries the degenerate flag with
     k = z by convention.
     """
-    dec = bloch_decompose(rho, layout)
-    d_a = layout.d_a
+    return _s2_closed(bloch_decompose(rho, layout), layout.d_a)
+
+
+def _s2_closed(dec, d_a: int) -> OptimizationResult:
+    """:func:`quadratic_closed_form` from the state's Bloch decomposition."""
     s2_a = (2.0 / d_a) * (d_a - 1.0 - float(dec.r_a @ dec.r_a))
     if 1.0 - np.linalg.norm(dec.r_b) < DEGENERATE_MARGINAL_TOL:
         return _result(s2_a, np.array([0.0, 0.0, 1.0]), CLOSED_FORM, degenerate=True)

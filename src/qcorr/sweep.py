@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .deficit import quadratic_deficit_closed, renyi_deficit, deficit
-from .discord import SearchConfig, discord, quadratic_closed_form
+from ._pairstate import cached_context, pair_context
+from .deficit import _i2_row, _renyi_from
+from .discord import SearchConfig, _optimize, _s2_closed
 from .entropy import VON_NEUMANN, entanglement_of_formation
 from .errors import QcorrError, SweepConfigError
 from .spinchain import (
@@ -37,27 +38,20 @@ from .spinchain import (
     reduced_pair,
     rho_theta,
 )
-from .statekit import BipartiteLayout, DensityMatrix
+from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose
 
 TWO_QUBIT = BipartiteLayout(2, 2)
 
-#: Measures with a minimizing-measurement direction attached, as calls
-#: ``(rho, layout, search) -> OptimizationResult``.  The lambdas look the
-#: functions up at call time, so wrappers installed on this module see them.
-_OPTIMIZED = {
-    "D": lambda rho, layout, search: discord(rho, layout, search),
-    "I1": lambda rho, layout, search: deficit(rho, layout, VON_NEUMANN, search),
-    "I2": lambda rho, layout, search: quadratic_deficit_closed(rho, layout),
-    "IR2": lambda rho, layout, search: renyi_deficit(rho, layout, 2.0, search),
-    "S2cond": lambda rho, layout, search: quadratic_closed_form(rho, layout),
-}
-ANGLED_MEASURES = tuple(_OPTIMIZED)
+#: Measures with a minimizing-measurement direction attached; D and I1 are
+#: searched, as the discord ("D") and the von Neumann deficit ("I").
+ANGLED_MEASURES = ("D", "I1", "I2", "IR2", "S2cond")
+_SEARCHED = {"D": "D", "I1": "I"}
 ALL_MEASURES = ("D", "I1", "I2", "IR2", "concurrence", "eof", "S2cond")
 
 SWEEP_VARIABLES = ("h_z", "gamma")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasureCell:
     """One (separation, measure) entry of a sweep row."""
 
@@ -66,7 +60,7 @@ class MeasureCell:
     phi: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """All measures of one sweep point (or one side limit of a crossing)."""
 
@@ -259,21 +253,47 @@ def measure_state(
     """Evaluate one named measure on a qudit-qubit state."""
     if measure not in ALL_MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    return _pair_cells(rho, (measure,), None, layout)[measure]
+    return _pair_cells([rho], (measure,), None, layout)[0][measure]
 
 
-def _pair_cells(pair: DensityMatrix, measures, search: SearchConfig | None, layout=TWO_QUBIT):
-    """Requested measures of one pair; concurrence and eof share one EoF evaluation."""
-    cells = {}
-    ent = None
-    for m in measures:
-        if m in ("concurrence", "eof"):
-            if ent is None:
-                ent = entanglement_of_formation(pair)
-            cells[m] = MeasureCell(getattr(ent, m))
-        else:
-            res = _OPTIMIZED[m](pair, layout, search)
-            cells[m] = MeasureCell(res.value, res.theta, res.phi)
+def _pair_cells(pairs, measures, search: SearchConfig | None, layout=TWO_QUBIT) -> list[dict]:
+    """Requested measures of several pairs of one layout, as one batch.
+
+    D and I1 of all pairs are searched as one stack, S2cond and I2 share a
+    pair's Bloch decomposition, IR2 takes I2's result (kept on the context,
+    for a state measured one measure at a time) and the residuals come from
+    one call.  Concurrence and eof share one EoF evaluation.
+    """
+    searched = [m for m in measures if m in _SEARCHED]
+    find = pair_context if searched or "IR2" in measures else cached_context
+    ctxs = [find(p, layout) for p in pairs]
+    decs = [bloch_decompose(p, layout) if {"I2", "S2cond"} & set(measures) else None for p in pairs]
+    new_i2 = [
+        i for i, ctx in enumerate(ctxs)
+        if "I2" in measures or "IR2" in measures and ctx.quadratic_deficit is None
+    ]
+    jobs = [(ctx, _SEARCHED[m], VON_NEUMANN) for ctx in ctxs for m in searched]
+    i2_rows = [
+        _i2_row(pairs[i], decs[i] or bloch_decompose(pairs[i], layout), layout.d_a) for i in new_i2
+    ]
+    done = iter(_optimize(jobs, search, i2_rows))
+    results = [{m: next(done) for m in searched} for _ in pairs]
+    for i in new_i2:
+        results[i]["I2"] = next(done)
+        if ctxs[i] is not None:
+            ctxs[i].quadratic_deficit = results[i]["I2"]
+    cells = []
+    for pair, ctx, dec, res in zip(pairs, ctxs, decs, results):
+        ent = entanglement_of_formation(pair) if {"concurrence", "eof"} & set(measures) else None
+        if "S2cond" in measures:
+            res["S2cond"] = _s2_closed(dec, layout.d_a)
+        if "IR2" in measures:
+            res["IR2"] = _renyi_from(ctx.quadratic_deficit, ctx.joint_spectrum, 2.0)
+        cells.append({
+            m: MeasureCell(res[m].value, res[m].theta, res[m].phi)
+            if m in res else MeasureCell(getattr(ent, m))
+            for m in measures
+        })
     return cells
 
 
@@ -285,40 +305,31 @@ def pair_observables(
 ) -> PairObservables:
     """Reduced pair state of a ground state with all requested measures."""
     pair = reduced_pair(gs, i, j)
-    cells = _pair_cells(pair, measures, None)
+    cells = _pair_cells([pair], measures, None)[0]
     return PairObservables(rho_pair=pair, separation=j - i, measures=cells)
 
 
-def _rows_for_point(cfg: SweepConfig, value: float) -> list[SweepRow]:
+def _rows_for_point(cfg: SweepConfig, value: float, keys) -> list[SweepRow]:
     try:
-        return _rows_for_point_inner(cfg, value)
+        return _rows_for_point_inner(cfg, value, keys)
     except QcorrError as exc:
         # abort with the offending field value attached
         raise type(exc)(f"sweep point {cfg.variable} = {value:g}: {exc}") from exc
 
 
-def _rows_for_point_inner(cfg: SweepConfig, value: float) -> list[SweepRow]:
+def _rows_for_point_inner(cfg: SweepConfig, value: float, keys) -> list[SweepRow]:
     gs = ground_state(_spec_at(cfg, value))
     if gs.degenerate and gs.side_limits is not None:
         branches = [("+", gs.side_limits[0]), ("-", gs.side_limits[1])]
     else:
         branches = [("", gs)]
-    rows = []
-    for branch, state in branches:
-        cells = {}
-        for sep in cfg.separations:
-            pair_cells = _pair_cells(reduced_pair(state, 0, sep), cfg.measures, cfg.search)
-            cells.update(((sep, m), cell) for m, cell in pair_cells.items())
-        rows.append(
-            SweepRow(
-                variable_value=value,
-                branch=branch,
-                parity=state.parity_label,
-                degenerate=gs.degenerate,
-                cells=cells,
-            )
-        )
-    return rows
+    pairs = [reduced_pair(state, 0, sep) for _, state in branches for sep in cfg.separations]
+    found = _pair_cells(pairs, cfg.measures, cfg.search)
+    cells = iter([cell for pair_cells in found for cell in pair_cells.values()])
+    return [
+        SweepRow(value, branch, state.parity_label, gs.degenerate, {k: next(cells) for k in keys})
+        for branch, state in branches
+    ]
 
 
 def _fmt(x: float) -> str:
@@ -359,7 +370,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         raise SweepConfigError(f"cannot write output {cfg.output}: {exc}") from None
     with handle:
         values = np.linspace(cfg.start, cfg.stop, cfg.points)
-        rows = [row for v in values for row in _rows_for_point(cfg, float(v))]
+        keys = [(sep, m) for sep in cfg.separations for m in cfg.measures]  # shared by every row
+        rows = [row for v in values for row in _rows_for_point(cfg, float(v), keys)]
         if cfg.output:
             handle.truncate(0)  # "a" left an existing file intact until now
             handle.write(render_csv(cfg, rows))
@@ -379,8 +391,8 @@ def report_limits(chi: float, n_sites: int) -> dict:
     c_plus, c_minus = concurrence_side_limits(chi, n_sites)
 
     def _measures(rho):
-        cells = _pair_cells(rho, ("D", "I1", "I2", "concurrence", "eof"), None)
-        return {m: c.__dict__ if m in ANGLED_MEASURES else c.value for m, c in cells.items()}
+        cells = _pair_cells([rho], ("D", "I1", "I2", "concurrence", "eof"), None)[0]
+        return {m: asdict(c) if m in ANGLED_MEASURES else c.value for m, c in cells.items()}
 
     return {
         "chi": chi,

@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 from qcorr.spinchain import SpinChainSpec, ground_state, reduced_pair
-from qcorr.sweep import measure_state
+from qcorr.sweep import measure_state, parse_config, run_sweep
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -36,3 +36,27 @@ def test_every_hook_resolves_and_one_context_serves_a_pair():
     assert metrics["search.pair_contexts_per_pair"] == 1.0
     assert metrics["search.optimizations"] == 2.0
     assert metrics["statekit.bloch_decompose.calls"] == 1.0
+
+
+def test_a_traced_sweep_searches_each_point_as_one_stack():
+    cfg = parse_config(
+        {
+            "chain": {"n_sites": 6, "j_x": 1.0, "chi": 0.5},
+            "sweep": {"variable": "h_z", "from": 0.2, "to": 0.6, "points": 3},
+            "measures": ["D", "I1", "I2", "IR2", "S2cond"],
+            "search": {"grid_theta": 16, "grid_phi": 32},
+        }
+    )
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == set()
+        rows = run_sweep(cfg)
+    finally:
+        tracer.uninstall()
+    assert len(rows) == 3  # no point lands on a parity crossing
+    metrics = tracer.metrics(passes=1, direct_pairs=0, warned=Counter())
+    assert metrics["trace.pairs"] == 9.0  # 3 points, separations 1 to 3
+    assert metrics["search.pair_contexts_per_pair"] == 1.0
+    assert metrics["statekit.bloch_decompose.calls"] == metrics["trace.pairs"]
+    assert metrics["search.optimizations"] == 3.0  # one stacked search per point
