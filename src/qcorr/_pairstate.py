@@ -13,8 +13,6 @@ which a minimizer is reported.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from ._sphere import is_sphere_grid
@@ -131,34 +129,28 @@ class SearchStack:
     A search's objective is its context's measured joint entropy if
     ``joint``, else its conditional entropy.  ``stack(dirs, i)`` is search
     i's on every direction, through the context's own methods and cached
-    grid spectra; for an array ``i`` row j is search ``i[j]``'s.  The spectra
-    of several contexts come from per-row Bloch forms, so these need a qubit
-    A.
+    grid spectra; for an array ``i`` row j is search ``i[j]``'s, from the
+    per-row Bloch forms of its context.  A stack of several searches
+    therefore needs qubit-A contexts.
     """
 
     def __init__(self, searches):
-        self.surfaces = [
-            partial(ctx.measured_joint_entropy if joint else ctx.conditional_entropy, functional=f)
-            for ctx, joint, f in searches
-        ]
+        self.searches = searches
         ctxs = list({id(ctx): ctx for ctx, _, _ in searches}.values())
         self.kinds = list(dict.fromkeys((joint, f) for _, joint, f in searches))
         self.of = np.array([(ctxs.index(c), self.kinds.index((j, f))) for c, j, f in searches]).T
-        self.one = ctxs[0] if len(ctxs) == 1 else None
-        if self.one is None:
-            if any(c.d_a != 2 for c in ctxs):  # d_A > 2 contracts by matmul, batch-dependent
+        if len(searches) > 1:  # per-row Bloch forms, which a qubit A alone has
+            if any(c.d_a != 2 for c in ctxs):
                 raise ValueError("a state with d_A > 2 is searched alone")
             names = ("r_a", "r_b", "corr", "mixedness")
             self.forms = [np.array([getattr(c, n) for c in ctxs]) for n in names]
 
     def __call__(self, dirs, owner=0):
         if isinstance(owner, int):
-            return self.surfaces[owner](dirs)
-        if self.one is not None:
-            blocks = self.one.measured_blocks(dirs)
-        else:
-            ctx_of = self.of[0, owner]
-            blocks = _bloch_blocks(*(form[ctx_of] for form in self.forms), dirs)
+            ctx, joint, functional = self.searches[owner]
+            surface = ctx.measured_joint_entropy if joint else ctx.conditional_entropy
+            return surface(dirs, functional)
+        blocks = _bloch_blocks(*(form[self.of[0, owner]] for form in self.forms), dirs)
         values, kind = np.empty(len(dirs)), self.of[1, owner]
         for j, (joint, functional) in enumerate(self.kinds):
             rows = kind == j

@@ -13,7 +13,6 @@ steps make reported optima sharp enough for stationarity diagnostics.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import orth
 
 #: Stencil half-width in the tangent chart, as a fraction of the trust
 #: radius at the start and then of the step that led to the stencil's
@@ -239,17 +238,13 @@ def dominant_direction(candidates: np.ndarray) -> np.ndarray:
 
     Given column vectors spanning the tied subspace, returns the unit vector
     in their span that maximizes |k_z|, falling back to |k_x| and then
-    |k_y| when the preferred axis is orthogonal to the span.
+    |k_y| when the preferred axis is orthogonal to the span.  The columns
+    must be linearly independent (``eigh``'s tied eigenvectors, or their
+    image under an invertible whitener) for QR to give the span's basis.
     """
-    candidates = np.asarray(candidates, dtype=float)
-    if candidates.ndim == 1:
-        candidates = candidates[:, np.newaxis]
-    basis = orth(candidates)
+    basis = np.linalg.qr(np.reshape(candidates, (3, -1)))[0]
     for axis in (2, 0, 1):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        proj = basis @ (basis.T @ e)
+        proj = basis @ basis[axis]
         norm = np.linalg.norm(proj)
         if norm > 1e-8:
             return proj / norm
-    return basis[:, 0]

@@ -311,20 +311,16 @@ def pair_observables(
 
 def _rows_for_point(cfg: SweepConfig, value: float, keys) -> list[SweepRow]:
     try:
-        return _rows_for_point_inner(cfg, value, keys)
+        gs = ground_state(_spec_at(cfg, value))
+        if gs.degenerate and gs.side_limits is not None:
+            branches = [("+", gs.side_limits[0]), ("-", gs.side_limits[1])]
+        else:
+            branches = [("", gs)]
+        pairs = [reduced_pair(state, 0, sep) for _, state in branches for sep in cfg.separations]
+        found = _pair_cells(pairs, cfg.measures, cfg.search)
     except QcorrError as exc:
         # abort with the offending field value attached
         raise type(exc)(f"sweep point {cfg.variable} = {value:g}: {exc}") from exc
-
-
-def _rows_for_point_inner(cfg: SweepConfig, value: float, keys) -> list[SweepRow]:
-    gs = ground_state(_spec_at(cfg, value))
-    if gs.degenerate and gs.side_limits is not None:
-        branches = [("+", gs.side_limits[0]), ("-", gs.side_limits[1])]
-    else:
-        branches = [("", gs)]
-    pairs = [reduced_pair(state, 0, sep) for _, state in branches for sep in cfg.separations]
-    found = _pair_cells(pairs, cfg.measures, cfg.search)
     cells = iter([cell for pair_cells in found for cell in pair_cells.values()])
     return [
         SweepRow(value, branch, state.parity_label, gs.degenerate, {k: next(cells) for k in keys})

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     degree_grid,
@@ -10,8 +12,10 @@ from helpers import (
     random_rank_one_povm,
     random_semi_quantum,
 )
+from qcorr.deficit import deficit, deficit_matrix, quadratic_deficit_closed
 from qcorr.discord import (
     SearchConfig,
+    _whitener,
     conditional_entropy_min,
     discord,
     ellipsoid,
@@ -28,6 +32,7 @@ from qcorr.statekit import (
 )
 
 LAY22 = BipartiteLayout(2, 2)
+PAULI3 = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def bell():
@@ -186,6 +191,26 @@ class TestQuadraticClosedForm:
         out = dominant_direction(tilted)
         # best |k_z| inside the span is the tilted column itself
         assert np.allclose(np.abs(out), [0.6, 0.0, 0.8])
+        # Independent but not orthonormal columns, as the whitened eigenvectors of
+        # the closed form are: each axis is projected onto their span by least squares.
+        rng = np.random.default_rng(5)
+        r_b = rng.normal(size=3)
+        white = _whitener(0.9 * r_b / np.linalg.norm(r_b))
+        vecs = np.linalg.eigh(np.cov(rng.normal(size=(3, 8))))[1]
+        spans = [
+            np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 2.0]]),
+            np.array([[1.0, 1.0], [0.0, 2.0], [0.0, 0.0]]),
+            rng.normal(size=(3, 2)),
+            white @ vecs[:, 2:],
+            white @ vecs[:, 1:],
+            white @ vecs,
+        ]
+        for span in spans:
+            for axis in (2, 0, 1):
+                proj = span @ np.linalg.lstsq(span, np.eye(3)[axis], rcond=None)[0]
+                if np.linalg.norm(proj) > 1e-8:
+                    break
+            assert np.allclose(dominant_direction(span), proj / np.linalg.norm(proj), atol=1e-12)
 
     def test_value_reevaluates_at_kstar(self):
         rng = np.random.default_rng(12)
@@ -267,3 +292,33 @@ class TestConditionalEntropyMin:
         for fam in (VON_NEUMANN, QUADRATIC):
             res = conditional_entropy_min(joint, LAY22, fam)
             assert abs(res.value - entropy(a, fam)) < 1e-9
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def so3_image(u):
+    """R with u (k.sigma) u^dagger = (R k).sigma: R_ij = tr(sigma_i u sigma_j u^dagger) / 2."""
+    return 0.5 * np.einsum("iab,bc,jcd,ad->ij", PAULI3, u, PAULI3, u.conj()).real
+
+
+class TestLocalUnitaryInvariance:
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_values_keep_and_closed_form_directions_rotate(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, 4)
+        u_b = random_unitary(rng, 2)
+        u = np.kron(random_unitary(rng, 2), u_b)
+        moved = make_density(u @ rho.entries @ u.conj().T)
+        for search in (discord, lambda r, lay: deficit(r, lay, VON_NEUMANN)):
+            assert abs(search(moved, LAY22).value - search(rho, LAY22).value) <= 1e-9
+        semi = ellipsoid(rho, LAY22).semi_axes ** 2  # the pencil's eigenvalues, descending
+        top = np.linalg.eigvalsh(deficit_matrix(rho, LAY22).matrix)[::-1]
+        for closed, lams in ((quadratic_closed_form, semi), (quadratic_deficit_closed, top)):
+            before, after = closed(rho, LAY22), closed(moved, LAY22)
+            assert abs(after.value - before.value) <= 1e-12
+            if lams[0] - lams[1] > 1e-6:
+                assert abs(after.k_star.k @ (so3_image(u_b) @ before.k_star.k)) >= 1.0 - 1e-9

@@ -54,14 +54,20 @@ class TestStackAgainstStacksOfOne:
         assert [PairContext(rho, LAY22).fold for rho in states] == [2, 1, 0]
         measures = (("D", VON_NEUMANN), ("I", VON_NEUMANN), ("I", tsallis(q)))
         jobs = [(PairContext(rho, LAY22), m, f) for rho in states for m, f in measures]
-        stacked = iter(_optimize(jobs, COARSE))
-        for rho in states:
-            alone = (
+        # One state's searches sharing its context, as in `qcorr limits` and pair_observables.
+        contexts = [PairContext(rho, LAY22) for rho in states]
+        one_state = [[(ctx, m, f) for m, f in measures] for ctx in contexts]
+        alone = [
+            (
                 discord(rho, LAY22, COARSE),
                 deficit(rho, LAY22, VON_NEUMANN, COARSE),
                 deficit(rho, LAY22, tsallis(q), COARSE),
             )
-            for single in alone:
+            for rho in states
+        ]
+        for stack, singles in [(jobs, alone)] + [(s, [a]) for s, a in zip(one_state, alone)]:
+            stacked = iter(_optimize(stack, COARSE))
+            for single in (res for per_state in singles for res in per_state):
                 res = next(stacked)
                 assert res.value == single.value
                 assert np.array_equal(res.k_star.k, single.k_star.k)
@@ -89,6 +95,9 @@ class TestQutritStates:
                 (PairContext(two_qubit_state(1, "real"), LAY22), "D", VON_NEUMANN)]
         with pytest.raises(ValueError, match="searched alone"):
             _optimize(jobs, COARSE)
+        ctx = PairContext(self.qutrit(), LAY32)  # nor with another search of itself
+        with pytest.raises(ValueError, match="searched alone"):
+            _optimize([(ctx, "D", VON_NEUMANN), (ctx, "I", VON_NEUMANN)], COARSE)
 
     def test_stack_of_one_is_the_public_search(self):
         rho = self.qutrit()
