@@ -6,9 +6,9 @@ Tr_B[rho (I x P_sk)]`` of weight ``p_s = (1 + s k.r_b) / 2``.  For a qubit A,
 branch Bloch vectors lie on the correlation ellipsoid and fix the spectra
 ``p_s/2 -/+ |r_a + s J k|/4``; larger A keep the blocks and ``eigvalsh``.  A
 :class:`SearchStack` evaluates the searches of many pairs together; one
-state's measures share one :func:`pair_context` and its last grid's spectra,
-and its detected symmetries fix both the folded search grid and the image in
-which a minimizer is reported.
+state's measures share one :func:`pair_context`, its last grid's spectra and
+its finished results, and its detected symmetries fix both the folded search
+grid and the image in which a minimizer is reported.
 """
 
 from __future__ import annotations
@@ -35,8 +35,17 @@ SYMMETRY_TOL = 1e-12
 _ODD = np.add.outer([0, 1, 1, 0], [0, 1, 1, 0]) % 2 == 1  # basis index 2a + b has parity a + b
 
 
+#: Key of the closed-form quadratic deficit in :attr:`PairContext.results`.
+CLOSED_I2 = "I2"
+
+
 class PairContext:
-    """Precomputed tensors of one state, reused across many directions."""
+    """Precomputed tensors of one state, reused across many directions.
+
+    ``results`` keeps the state's finished results, returned as they are when
+    asked again: searches under ``(measure, functional, search config)`` (see
+    :func:`qcorr.discord._optimize`), the closed-form I2 under :data:`CLOSED_I2`.
+    """
 
     def __init__(self, rho: DensityMatrix, layout: BipartiteLayout):
         layout.check(rho)
@@ -58,7 +67,7 @@ class PairContext:
         self.parity = self.d_a == 2 and np.abs(rho.entries[_ODD]).max() <= SYMMETRY_TOL
         # Symmetries of every objective: even in k_y if real, and in k_x too if also parity-even.
         self.fold = 2 if self.real and self.parity else int(self.real)
-        self.quadratic_deficit = None  # stored by qcorr.deficit.quadratic_deficit_closed
+        self.results = {}
         self._grid = (None, None)
 
     def measured_blocks(self, dirs: np.ndarray):

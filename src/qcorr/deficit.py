@@ -14,7 +14,9 @@ form: with the cross-moment tensor J and the B Bloch vector r_b,
 
 minimized by the dominant eigenvector of M, the least disturbing direction.
 Renyi deficits share the Tsallis optimizer at the same q; their value is a
-function of the Tsallis deficit there, so no second evaluation is needed.
+function of the Tsallis deficit there, so no second evaluation is needed: a
+state object keeps its finished results on its pair context, and the Renyi
+deficit takes the Tsallis result whole if the state already has it.
 Every minimization returns a :class:`qcorr.discord.OptimizationResult`
 whose ``residual`` is the stationarity residual below.
 
@@ -31,7 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pairstate import cached_context, pair_context, stationarity_residual  # noqa: F401 (public)
+from ._pairstate import CLOSED_I2, cached_context, pair_context
+from ._pairstate import stationarity_residual  # noqa: F401 (public)
 from ._sphere import dominant_direction
 from .discord import (
     CLOSED_FORM,
@@ -91,11 +94,12 @@ def quadratic_deficit_closed(rho: DensityMatrix, layout: BipartiteLayout) -> Opt
     At an exact eigenvalue tie the reported direction maximizes |k_z| and
     then |k_x| within the tied subspace, so sweep outputs step cleanly.
     """
-    result = _optimize([], closed=[_i2_row(rho, bloch_decompose(rho, layout), layout.d_a)])[0]
-    ctx = cached_context(rho, layout)  # kept for IR2 where a search measure built one
-    if ctx is not None:
-        ctx.quadratic_deficit = result
-    return result
+    ctx = cached_context(rho, layout)  # shared with IR2 where a measure built one
+    memo = {} if ctx is None else ctx.results
+    if CLOSED_I2 not in memo:
+        row = _i2_row(rho, bloch_decompose(rho, layout), layout.d_a)
+        memo[CLOSED_I2] = _optimize([], closed=[row])[0]
+    return memo[CLOSED_I2]
 
 
 def _i2_row(rho, dec, d_a: int) -> tuple:
@@ -114,15 +118,17 @@ def renyi_deficit(
 ) -> OptimizationResult:
     """Renyi-q deficit: min_k log2(Tr rho'^q / Tr rho^q) / (1 - q).
 
-    The optimizer is exactly the Tsallis-q one (at q = 2 the closed form, the
-    state's own if already computed), and the value follows from I_q there:
+    The Tsallis-q result (at q = 2 the closed form) is taken whole, direction
+    and residual included, and is the one the state object already has if
+    :func:`deficit` or :func:`quadratic_deficit_closed` ran on it; either way
+    it is kept for them.  The value follows from I_q there:
     ``Tr rho'^q = Tr rho^q - (1 - 2^(1-q)) I_q``.
     """
     functional = tsallis(q)
     q = functional.q
     ctx = pair_context(rho, layout)
     if q == 2.0:
-        inner = ctx.quadratic_deficit or quadratic_deficit_closed(rho, layout)
+        inner = ctx.results.get(CLOSED_I2) or quadratic_deficit_closed(rho, layout)
     else:
         inner = deficit(rho, layout, functional, cfg)
     return _renyi_from(inner, ctx.joint_spectrum, q)

@@ -174,15 +174,18 @@ def _optimize(jobs, cfg: SearchConfig | None = None, closed=()) -> list[Optimiza
     """Results of searches ``(ctx, measure, functional)`` run as one stack, then of ``closed`` rows.
 
     Measure "D" is the discord, "S" the minimum conditional entropy and "I" the
-    deficit.  A closed row is ``(rho, value, k, method, functional, residual
-    mode)``; all residuals come from one batched call.
+    deficit.  A search's result is kept in its context's ``results`` under
+    ``(measure, functional, cfg)``, and a search whose context holds its key
+    is not run again.  A closed row is ``(rho, value, k, method, functional,
+    residual mode)``; all residuals come from one batched call.
     """
+    cfg = cfg or DEFAULT_SEARCH
+    new = [(ctx, measure, f) for ctx, measure, f in jobs if (measure, f, cfg) not in ctx.results]
     rows = []
-    if jobs:
-        stack = SearchStack([(ctx, measure == "I", f) for ctx, measure, f in jobs])
-        folds = [ctx.fold for ctx, _, _ in jobs]
-        ks, vals = _grid_refine(stack, cfg=cfg or DEFAULT_SEARCH, folds=folds)
-        for (ctx, measure, f), k, value in zip(jobs, ks, vals):
+    if new:
+        stack = SearchStack([(ctx, measure == "I", f) for ctx, measure, f in new])
+        ks, vals = _grid_refine(stack, cfg=cfg, folds=[ctx.fold for ctx, _, _ in new])
+        for (ctx, measure, f), k, value in zip(new, ks, vals):
             mode = "discord" if f.family == FAMILY_VON_NEUMANN else None
             joint = spectrum_entropy(ctx.joint_spectrum, f)
             if measure == "D":
@@ -192,14 +195,16 @@ def _optimize(jobs, cfg: SearchConfig | None = None, closed=()) -> list[Optimiza
                 value, mode = _clip_noise(value - float(joint)), "deficit"
             rows.append((ctx.rho, value, ctx.canonical(k), GRID_REFINE, f, mode))
     rows += closed
-    if not rows:
-        return []
     kds = [MeasurementDirection(row[2]) for row in rows]
-    residuals = stationarity_residuals(*zip(*((r[0], kd, r[4], r[5]) for r, kd in zip(rows, kds))))
-    return [
+    batch = zip(*((r[0], kd, r[4], r[5]) for r, kd in zip(rows, kds)))
+    residuals = stationarity_residuals(*batch) if rows else []
+    done = [
         OptimizationResult(float(row[1]), kd, row[3], res)
         for row, kd, res in zip(rows, kds, residuals)
     ]
+    for (ctx, measure, f), result in zip(new, done):
+        ctx.results[measure, f, cfg] = result
+    return [ctx.results[measure, f, cfg] for ctx, measure, f in jobs] + done[len(new):]
 
 
 def conditional_entropy_min(

@@ -214,6 +214,14 @@ def gellmann_basis(d: int) -> OperatorBasis:
 
 #: Pauli matrices, i.e. the d = 2 basis.
 PAULI = gellmann_basis(2).ops
+_MOMENT = "aibj,mba,nji->mn"  # cross-moment tensor of a qudit-qubit state
+
+
+@lru_cache(maxsize=None)
+def _moment_path(d_a: int) -> list:
+    """The contraction path ``optimize=True`` would search for on every call, found once."""
+    four = np.empty((d_a, 2, d_a, 2), dtype=complex)
+    return np.einsum_path(_MOMENT, four, gellmann_basis(d_a).ops, PAULI, optimize=True)[0]
 
 
 def bloch_decompose(rho: DensityMatrix, layout: BipartiteLayout) -> BlochDecomposition:
@@ -231,7 +239,7 @@ def bloch_decompose(rho: DensityMatrix, layout: BipartiteLayout) -> BlochDecompo
     rho_b = np.einsum("aiaj->ij", four)
     r_a = np.einsum("ab,nba->n", rho_a, basis_a).real
     r_b = np.einsum("ij,nji->n", rho_b, PAULI).real
-    moment = np.einsum("aibj,mba,nji->mn", four, basis_a, PAULI, optimize=True).real
+    moment = np.einsum(_MOMENT, four, basis_a, PAULI, optimize=_moment_path(d_a)).real
     corr = moment - np.outer(r_a, r_b)
     return BlochDecomposition(r_a=r_a, r_b=r_b, corr=corr, moment=moment)
 

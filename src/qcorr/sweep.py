@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._pairstate import cached_context, pair_context
+from ._pairstate import CLOSED_I2, cached_context, pair_context
 from .deficit import _i2_row, _renyi_from
 from .discord import SearchConfig, _optimize, _s2_closed
 from .entropy import VON_NEUMANN, entanglement_of_formation
@@ -259,36 +259,36 @@ def measure_state(
 def _pair_cells(pairs, measures, search: SearchConfig | None, layout=TWO_QUBIT) -> list[dict]:
     """Requested measures of several pairs of one layout, as one batch.
 
-    D and I1 of all pairs are searched as one stack, S2cond and I2 share a
-    pair's Bloch decomposition, IR2 takes I2's result (kept on the context,
-    for a state measured one measure at a time) and the residuals come from
-    one call.  Concurrence and eof share one EoF evaluation.
+    D and I1 of all pairs are searched as one stack and the residuals come
+    from one call.  I2 is read from a pair's context where the state object
+    already has it (see :class:`qcorr._pairstate.PairContext`), else computed
+    from the Bloch decomposition it shares with S2cond and kept there; IR2
+    takes I2's result.  Concurrence and eof share one EoF evaluation.
     """
     searched = [m for m in measures if m in _SEARCHED]
     find = pair_context if searched or "IR2" in measures else cached_context
     ctxs = [find(p, layout) for p in pairs]
-    decs = [bloch_decompose(p, layout) if {"I2", "S2cond"} & set(measures) else None for p in pairs]
-    new_i2 = [
-        i for i, ctx in enumerate(ctxs)
-        if "I2" in measures or "IR2" in measures and ctx.quadratic_deficit is None
+    memos = [{} if ctx is None else ctx.results for ctx in ctxs]
+    with_i2 = {"I2", "IR2"} & set(measures)
+    new_i2 = [i for i, memo in enumerate(memos) if with_i2 and CLOSED_I2 not in memo]
+    decs = [
+        bloch_decompose(p, layout) if "S2cond" in measures or i in new_i2 else None
+        for i, p in enumerate(pairs)
     ]
     jobs = [(ctx, _SEARCHED[m], VON_NEUMANN) for ctx in ctxs for m in searched]
-    i2_rows = [
-        _i2_row(pairs[i], decs[i] or bloch_decompose(pairs[i], layout), layout.d_a) for i in new_i2
-    ]
-    done = iter(_optimize(jobs, search, i2_rows))
+    done = iter(_optimize(jobs, search, [_i2_row(pairs[i], decs[i], layout.d_a) for i in new_i2]))
     results = [{m: next(done) for m in searched} for _ in pairs]
     for i in new_i2:
-        results[i]["I2"] = next(done)
-        if ctxs[i] is not None:
-            ctxs[i].quadratic_deficit = results[i]["I2"]
+        memos[i][CLOSED_I2] = next(done)
     cells = []
-    for pair, ctx, dec, res in zip(pairs, ctxs, decs, results):
+    for pair, ctx, memo, dec, res in zip(pairs, ctxs, memos, decs, results):
         ent = entanglement_of_formation(pair) if {"concurrence", "eof"} & set(measures) else None
         if "S2cond" in measures:
             res["S2cond"] = _s2_closed(dec, layout.d_a)
+        if "I2" in measures:
+            res["I2"] = memo[CLOSED_I2]
         if "IR2" in measures:
-            res["IR2"] = _renyi_from(ctx.quadratic_deficit, ctx.joint_spectrum, 2.0)
+            res["IR2"] = _renyi_from(memo[CLOSED_I2], ctx.joint_spectrum, 2.0)
         cells.append({
             m: MeasureCell(res[m].value, res[m].theta, res[m].phi)
             if m in res else MeasureCell(getattr(ent, m))

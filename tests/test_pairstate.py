@@ -1,9 +1,12 @@
 """The shared pair context: Bloch-form branch spectra, one context per pair,
-and the canonical image of a minimizer on symmetric states."""
+one search per objective and state object, and the canonical image of a
+minimizer on symmetric states."""
 
 import importlib
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +15,9 @@ from qcorr import _pairstate
 from qcorr._pairstate import PairContext
 from qcorr._sphere import sphere_grid
 from qcorr.deficit import deficit, quadratic_deficit_closed, renyi_deficit
-from qcorr.discord import SearchConfig, discord
+from qcorr.discord import SearchConfig, conditional_entropy_min, discord
 from qcorr.entropy import QUADRATIC, VON_NEUMANN, entropy, tsallis
+from qcorr.errors import LayoutMismatch
 from qcorr.measurement import unread_state
 from qcorr.spinchain import SpinChainSpec, ground_state, reduced_pair
 from qcorr.statekit import BipartiteLayout, make_density
@@ -120,6 +124,8 @@ class TestPairMemo:
             lambda rho: discord(rho, LAY22, COARSE),
             lambda rho: deficit(rho, LAY22, VON_NEUMANN, COARSE),
             lambda rho: renyi_deficit(rho, LAY22, 2.0),
+            lambda rho: deficit(rho, LAY22, tsallis(0.5), COARSE),
+            lambda rho: renyi_deficit(rho, LAY22, 0.5, COARSE),
         )
         alone = []
         for rho in states:
@@ -145,6 +151,41 @@ class TestPairMemo:
         purity = np.vdot(pair.entries, pair.entries).real
         assert abs(ir2.value + np.log2((purity - 0.5 * i2.value) / purity)) < 1e-14
         assert ir2.k_star is i2.k_star and ir2.residual == i2.residual
+
+    def test_each_objective_is_searched_once_per_state_object(self, monkeypatch):
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(importlib.import_module(module), name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(importlib.import_module(module), name, counting)
+
+        count("qcorr.discord", "_grid_refine")
+        count("qcorr.deficit", "bloch_decompose")
+        rho = random_density(np.random.default_rng(43), 4)
+        tq = deficit(rho, LAY22, tsallis(0.5), COARSE)
+        rq = renyi_deficit(rho, LAY22, 0.5, COARSE)
+        assert calls["_grid_refine"] == 1
+        assert rq.k_star is tq.k_star and rq.residual == tq.residual
+        r2 = renyi_deficit(rho, LAY22, 2.0)
+        i2 = quadratic_deficit_closed(rho, LAY22)
+        assert calls["bloch_decompose"] == 1 and r2.k_star is i2.k_star
+        d = discord(rho, LAY22, COARSE)
+        again = (
+            deficit(rho, LAY22, tsallis(0.5)),  # the default SearchConfig
+            deficit(rho, LAY22, tsallis(3.0), COARSE),  # another functional
+            conditional_entropy_min(rho, LAY22, VON_NEUMANN, COARSE),  # not the discord
+        )
+        assert calls["_grid_refine"] == 2 + len(again)
+        assert again[0] is not tq and again[2].value != d.value
+        assert discord(rho, LAY22, COARSE) is d and calls["_grid_refine"] == 5
+        # a 4x4 matrix has one layout; another one is refused, not read from the memo
+        with pytest.raises(LayoutMismatch):
+            discord(rho, BipartiteLayout(3, 2), COARSE)
 
 
 class TestCanonicalImage:

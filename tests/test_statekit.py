@@ -7,6 +7,7 @@ from helpers import random_density, random_pure
 from qcorr.errors import LayoutMismatch, NotHermitian, NotPositive, TraceDeviation
 from qcorr.spinchain import rho_theta
 from qcorr.statekit import (
+    PAULI,
     BipartiteLayout,
     bloch_decompose,
     from_json,
@@ -143,6 +144,10 @@ class TestBlochDecompose:
         for _ in range(50 if d_a == 2 else 20):
             rho = random_density(rng, 2 * d_a)
             dec = bloch_decompose(rho, lay)
+            # the path found once per d_A gives the bits of a path searched on every call
+            four, basis_a = rho.entries.reshape(d_a, 2, d_a, 2), gellmann_basis(d_a).ops
+            searched = np.einsum("aibj,mba,nji->mn", four, basis_a, PAULI, optimize=True)
+            assert np.array_equal(dec.moment, searched.real)
             back = reconstruct(dec, lay)
             assert np.abs(back.entries - rho.entries).max() < 1e-10
             assert np.linalg.norm(dec.r_b) <= 1.0 + 1e-10
