@@ -5,10 +5,12 @@ Tr_B[rho (I x P_sk)]`` of weight ``p_s = (1 + s k.r_b) / 2``.  For a qubit A,
 ``M_s = [2 p_s I + (r_a + s J k).sigma] / 4`` (J the cross-moment tensor): the
 branch Bloch vectors lie on the correlation ellipsoid and fix the spectra
 ``p_s/2 -/+ |r_a + s J k|/4``; larger A keep the blocks and ``eigvalsh``.  A
-:class:`SearchStack` evaluates the searches of many pairs together; one
-state's measures share one :func:`pair_context`, its last grid's spectra and
-its finished results, and its detected symmetries fix both the folded search
-grid and the image in which a minimizer is reported.
+:class:`SearchStack` evaluates the searches of many pairs together.  Every
+measure of one state reads one :func:`pair_context`: its Bloch decomposition
+(the Bloch forms of the searches and every closed form), its last grid's
+spectra and its finished results, searches and closed forms alike.  Its
+detected symmetries fix both the folded search grid and the image in which a
+minimizer is reported.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .entropy import (
 )
 from .errors import UnsupportedFamily
 from .measurement import PROB_FLOOR, MeasurementDirection, projector
-from .statekit import PAULI, BipartiteLayout, DensityMatrix
+from .statekit import PAULI, BipartiteLayout, DensityMatrix, bloch_decompose
 
 _2D = np.newaxis
 _LOG_FLOOR = 1e-300
@@ -35,20 +37,17 @@ SYMMETRY_TOL = 1e-12
 _ODD = np.add.outer([0, 1, 1, 0], [0, 1, 1, 0]) % 2 == 1  # basis index 2a + b has parity a + b
 
 
-#: Key of the closed-form quadratic deficit in :attr:`PairContext.results`.
-CLOSED_I2 = "I2"
-
-
 class PairContext:
     """Precomputed tensors of one state, reused across many directions.
 
-    ``results`` keeps the state's finished results, returned as they are when
-    asked again: searches under ``(measure, functional, search config)`` (see
-    :func:`qcorr.discord._optimize`), the closed-form I2 under :data:`CLOSED_I2`.
+    ``dec`` is the state's one :func:`~qcorr.statekit.bloch_decompose`, which
+    the searches' Bloch forms and every closed form read.  ``results`` keeps
+    the state's finished results, returned as they are when asked again (see
+    :func:`qcorr.discord._optimize`).
     """
 
     def __init__(self, rho: DensityMatrix, layout: BipartiteLayout):
-        layout.check(rho)
+        self.dec = bloch_decompose(rho, layout)
         self.layout = layout
         self.d_a = layout.d_a
         self.rho = rho
@@ -56,12 +55,9 @@ class PairContext:
         self.rho_a = np.einsum("aibi->ab", four)
         self.rho_b = np.einsum("aiaj->ij", four)
         self.t_ops = np.einsum("aibj,nji->nab", four, PAULI)
-        self.r_b = np.einsum("ij,nji->n", self.rho_b, PAULI).real
+        self.r_a, self.r_b, self.corr = self.dec.r_a, self.dec.r_b, self.dec.corr
         self.joint_spectrum = np.linalg.eigvalsh(rho.entries)
         if self.d_a == 2:
-            self.r_a = np.einsum("ab,mba->m", self.rho_a, PAULI).real
-            moment = np.einsum("mba,nab->mn", PAULI, self.t_ops).real
-            self.corr = moment - np.outer(self.r_a, self.r_b)
             self.mixedness = 4.0 * np.linalg.det(self.rho_a).real  # 1 - |r_a|^2
         self.real = np.abs(rho.entries.imag).max() <= SYMMETRY_TOL
         self.parity = self.d_a == 2 and np.abs(rho.entries[_ODD]).max() <= SYMMETRY_TOL
@@ -171,19 +167,12 @@ class SearchStack:
 _last: PairContext | None = None
 
 
-def cached_context(rho: DensityMatrix, layout: BipartiteLayout) -> PairContext | None:
-    """The last context built, if it is for this state object and layout."""
-    ctx = _last
-    return ctx if ctx is not None and ctx.rho is rho and ctx.layout == layout else None
-
-
 def pair_context(rho: DensityMatrix, layout: BipartiteLayout) -> PairContext:
-    """The context of (rho, layout), built only if :func:`cached_context` has none."""
+    """The last context built if it is for this state object and layout, else a new one."""
     global _last
-    ctx = cached_context(rho, layout)
-    if ctx is None:
-        ctx = _last = PairContext(rho, layout)
-    return ctx
+    if _last is None or _last.rho is not rho or _last.layout != layout:
+        _last = PairContext(rho, layout)
+    return _last
 
 
 def stationarity_residual(

@@ -13,10 +13,13 @@ form: with the cross-moment tensor J and the B Bloch vector r_b,
     I_2 = (tr M - lam_max(M)) / d_a,   M = r_b r_b^T + J^T J,
 
 minimized by the dominant eigenvector of M, the least disturbing direction.
-Renyi deficits share the Tsallis optimizer at the same q; their value is a
-function of the Tsallis deficit there, so no second evaluation is needed: a
-state object keeps its finished results on its pair context, and the Renyi
-deficit takes the Tsallis result whole if the state already has it.
+Every deficit is one job of :func:`qcorr.discord._optimize` on the state's
+pair context: a searched one is the measure letter "I", the closed-form I_2
+the callable that reads it off the context's Bloch decomposition.  The state
+object keeps each finished result on its context.  Renyi deficits share the
+Tsallis optimizer at the same q (at q = 2 the closed form); their value is a
+function of the Tsallis deficit there, so the Renyi deficit takes that result
+whole, and no second evaluation is needed.
 Every minimization returns a :class:`qcorr.discord.OptimizationResult`
 whose ``residual`` is the stationarity residual below.
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pairstate import CLOSED_I2, cached_context, pair_context
+from ._pairstate import pair_context
 from ._pairstate import stationarity_residual  # noqa: F401 (public)
 from ._sphere import dominant_direction
 from .discord import (
@@ -45,7 +48,7 @@ from .discord import (
     _optimize,
 )
 from .entropy import FAMILY_RENYI, QUADRATIC, EntropyFunctional, tsallis
-from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose
+from .statekit import BipartiteLayout, DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class DeficitMatrix:
 
 def deficit_matrix(rho: DensityMatrix, layout: BipartiteLayout) -> DeficitMatrix:
     """Build ``r_b r_b^T + J^T J`` from the Bloch decomposition."""
-    return _deficit_matrix(bloch_decompose(rho, layout))
+    return _deficit_matrix(pair_context(rho, layout).dec)
 
 
 def _deficit_matrix(dec) -> DeficitMatrix:
@@ -94,20 +97,15 @@ def quadratic_deficit_closed(rho: DensityMatrix, layout: BipartiteLayout) -> Opt
     At an exact eigenvalue tie the reported direction maximizes |k_z| and
     then |k_x| within the tied subspace, so sweep outputs step cleanly.
     """
-    ctx = cached_context(rho, layout)  # shared with IR2 where a measure built one
-    memo = {} if ctx is None else ctx.results
-    if CLOSED_I2 not in memo:
-        row = _i2_row(rho, bloch_decompose(rho, layout), layout.d_a)
-        memo[CLOSED_I2] = _optimize([], closed=[row])[0]
-    return memo[CLOSED_I2]
+    return _optimize([(pair_context(rho, layout), _i2_row, QUADRATIC)])[0]
 
 
-def _i2_row(rho, dec, d_a: int) -> tuple:
-    """The closed-form quadratic deficit as a closed row of :func:`qcorr.discord._optimize`."""
-    dm = _deficit_matrix(dec)
+def _i2_row(ctx) -> tuple:
+    """The closed-form quadratic deficit of a context, as a closed-form job of ``_optimize``."""
+    dm = _deficit_matrix(ctx.dec)
     lams, vecs = np.linalg.eigh(dm.matrix)
     k = dominant_direction(vecs[:, lams >= dm.lambda_max - TIE_TOL])
-    return rho, _clip_noise((dm.trace - dm.lambda_max) / d_a), k, CLOSED_FORM, QUADRATIC, "deficit"
+    return _clip_noise((dm.trace - dm.lambda_max) / ctx.d_a), k, CLOSED_FORM, "deficit"
 
 
 def renyi_deficit(
@@ -125,13 +123,9 @@ def renyi_deficit(
     ``Tr rho'^q = Tr rho^q - (1 - 2^(1-q)) I_q``.
     """
     functional = tsallis(q)
-    q = functional.q
+    job = (_i2_row, QUADRATIC) if functional.q == 2.0 else ("I", functional)
     ctx = pair_context(rho, layout)
-    if q == 2.0:
-        inner = ctx.results.get(CLOSED_I2) or quadratic_deficit_closed(rho, layout)
-    else:
-        inner = deficit(rho, layout, functional, cfg)
-    return _renyi_from(inner, ctx.joint_spectrum, q)
+    return _renyi_from(_optimize([(ctx, *job)], cfg)[0], ctx.joint_spectrum, functional.q)
 
 
 def _renyi_from(inner: OptimizationResult, spectrum, q: float) -> OptimizationResult:

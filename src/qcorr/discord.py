@@ -34,7 +34,7 @@ from ._pairstate import SearchStack, pair_context, stationarity_residuals
 from ._sphere import dominant_direction, folded_grid, grid_minima, minimize_on_sphere
 from .entropy import FAMILY_VON_NEUMANN, VON_NEUMANN, EntropyFunctional, spectrum_entropy
 from .measurement import MeasurementDirection
-from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose
+from .statekit import BipartiteLayout, DensityMatrix
 
 CLOSED_FORM = "closed_form"
 GRID_REFINE = "grid_refine"
@@ -170,22 +170,27 @@ def _grid_refine(objective, cfg: SearchConfig, *, folds=(0,)):
     return np.array([k for k, _ in best]), np.array([v for _, v in best])
 
 
-def _optimize(jobs, cfg: SearchConfig | None = None, closed=()) -> list[OptimizationResult]:
-    """Results of searches ``(ctx, measure, functional)`` run as one stack, then of ``closed`` rows.
+def _optimize(jobs, cfg: SearchConfig | None = None) -> list[OptimizationResult]:
+    """Results of jobs ``(ctx, measure, functional)``: the searches run as one stack.
 
-    Measure "D" is the discord, "S" the minimum conditional entropy and "I" the
-    deficit.  A search's result is kept in its context's ``results`` under
-    ``(measure, functional, cfg)``, and a search whose context holds its key
-    is not run again.  A closed row is ``(rho, value, k, method, functional,
-    residual mode)``; all residuals come from one batched call.
+    A measure letter is a search: "D" the discord, "S" the minimum conditional
+    entropy and "I" the deficit.  A callable is a closed form: ``measure(ctx)``
+    gives ``(value, k, method, residual mode)``.  A result is kept in its
+    context's ``results``, a search's under ``(measure, functional, cfg)`` and a
+    closed form's under ``(measure, functional)`` for any search config, and a
+    job whose context holds its key is not run again.  All residuals come from
+    one batched call.
     """
     cfg = cfg or DEFAULT_SEARCH
-    new = [(ctx, measure, f) for ctx, measure, f in jobs if (measure, f, cfg) not in ctx.results]
+    keyed = [(ctx, m, f, (m, f) if callable(m) else (m, f, cfg)) for ctx, m, f in jobs]
+    new = [job for job in keyed if job[3] not in job[0].results]
+    new.sort(key=lambda job: callable(job[1]))  # the searches first, in job order
+    searches = [job for job in new if not callable(job[1])]
     rows = []
-    if new:
-        stack = SearchStack([(ctx, measure == "I", f) for ctx, measure, f in new])
-        ks, vals = _grid_refine(stack, cfg=cfg, folds=[ctx.fold for ctx, _, _ in new])
-        for (ctx, measure, f), k, value in zip(new, ks, vals):
+    if searches:
+        stack = SearchStack([(ctx, measure == "I", f) for ctx, measure, f, _ in searches])
+        ks, vals = _grid_refine(stack, cfg=cfg, folds=[job[0].fold for job in searches])
+        for (ctx, measure, f, _), k, value in zip(searches, ks, vals):
             mode = "discord" if f.family == FAMILY_VON_NEUMANN else None
             joint = spectrum_entropy(ctx.joint_spectrum, f)
             if measure == "D":
@@ -193,18 +198,14 @@ def _optimize(jobs, cfg: SearchConfig | None = None, closed=()) -> list[Optimiza
                 value = _clip_noise(value - float(joint - s_b))
             elif measure == "I":
                 value, mode = _clip_noise(value - float(joint)), "deficit"
-            rows.append((ctx.rho, value, ctx.canonical(k), GRID_REFINE, f, mode))
-    rows += closed
-    kds = [MeasurementDirection(row[2]) for row in rows]
-    batch = zip(*((r[0], kd, r[4], r[5]) for r, kd in zip(rows, kds)))
-    residuals = stationarity_residuals(*batch) if rows else []
-    done = [
-        OptimizationResult(float(row[1]), kd, row[3], res)
-        for row, kd, res in zip(rows, kds, residuals)
-    ]
-    for (ctx, measure, f), result in zip(new, done):
-        ctx.results[measure, f, cfg] = result
-    return [ctx.results[measure, f, cfg] for ctx, measure, f in jobs] + done[len(new):]
+            rows.append((value, ctx.canonical(k), GRID_REFINE, mode))
+    rows += [measure(ctx) for ctx, measure, _, _ in new[len(searches):]]
+    kds = [MeasurementDirection(row[1]) for row in rows]
+    rhos, functionals, modes = [j[0].rho for j in new], [j[2] for j in new], [r[3] for r in rows]
+    residuals = stationarity_residuals(rhos, kds, functionals, modes)
+    for (ctx, _, _, key), (value, _, method, _), kd, res in zip(new, rows, kds, residuals):
+        ctx.results[key] = OptimizationResult(float(value), kd, method, res)
+    return [ctx.results[key] for ctx, _, _, key in keyed]
 
 
 def conditional_entropy_min(
@@ -253,11 +254,12 @@ def quadratic_closed_form(rho: DensityMatrix, layout: BipartiteLayout) -> Optimi
     any direction is optimal and the result carries the degenerate flag with
     k = z by convention.
     """
-    return _s2_closed(bloch_decompose(rho, layout), layout.d_a)
+    return _s2_closed(pair_context(rho, layout))
 
 
-def _s2_closed(dec, d_a: int) -> OptimizationResult:
-    """:func:`quadratic_closed_form` from the state's Bloch decomposition."""
+def _s2_closed(ctx) -> OptimizationResult:
+    """:func:`quadratic_closed_form` from a context's Bloch decomposition."""
+    dec, d_a = ctx.dec, ctx.d_a
     s2_a = (2.0 / d_a) * (d_a - 1.0 - float(dec.r_a @ dec.r_a))
     if 1.0 - np.linalg.norm(dec.r_b) < DEGENERATE_MARGINAL_TOL:
         return _result(s2_a, np.array([0.0, 0.0, 1.0]), CLOSED_FORM, degenerate=True)
@@ -280,7 +282,7 @@ def ellipsoid(rho: DensityMatrix, layout: BipartiteLayout) -> CorrelationEllipso
     post-measurement Bloch vector of A along the major axis of this
     ellipsoid.
     """
-    dec = bloch_decompose(rho, layout)
+    dec = pair_context(rho, layout).dec
     n = dec.corr.shape[0]
     if 1.0 - np.linalg.norm(dec.r_b) < DEGENERATE_MARGINAL_TOL:
         return CorrelationEllipsoid(

@@ -214,14 +214,6 @@ def gellmann_basis(d: int) -> OperatorBasis:
 
 #: Pauli matrices, i.e. the d = 2 basis.
 PAULI = gellmann_basis(2).ops
-_MOMENT = "aibj,mba,nji->mn"  # cross-moment tensor of a qudit-qubit state
-
-
-@lru_cache(maxsize=None)
-def _moment_path(d_a: int) -> list:
-    """The contraction path ``optimize=True`` would search for on every call, found once."""
-    four = np.empty((d_a, 2, d_a, 2), dtype=complex)
-    return np.einsum_path(_MOMENT, four, gellmann_basis(d_a).ops, PAULI, optimize=True)[0]
 
 
 def bloch_decompose(rho: DensityMatrix, layout: BipartiteLayout) -> BlochDecomposition:
@@ -229,7 +221,8 @@ def bloch_decompose(rho: DensityMatrix, layout: BipartiteLayout) -> BlochDecompo
 
     The state decomposes as ``rho_a (x) rho_b`` plus the correlation part
     ``sum_uv corr[u, v] sA_u (x) sB_v / (2 d_a)``; :func:`reconstruct`
-    inverts this exactly.
+    inverts this exactly.  The cross moments are contracted with the Pauli
+    triple first, then with the A basis.
     """
     layout.check(rho)
     d_a = layout.d_a
@@ -239,7 +232,8 @@ def bloch_decompose(rho: DensityMatrix, layout: BipartiteLayout) -> BlochDecompo
     rho_b = np.einsum("aiaj->ij", four)
     r_a = np.einsum("ab,nba->n", rho_a, basis_a).real
     r_b = np.einsum("ij,nji->n", rho_b, PAULI).real
-    moment = np.einsum(_MOMENT, four, basis_a, PAULI, optimize=_moment_path(d_a)).real
+    t_ops = np.einsum("aibj,nji->nab", four, PAULI)
+    moment = np.einsum("mba,nab->mn", basis_a, t_ops).real
     corr = moment - np.outer(r_a, r_b)
     return BlochDecomposition(r_a=r_a, r_b=r_b, corr=corr, moment=moment)
 

@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._pairstate import CLOSED_I2, cached_context, pair_context
+from ._pairstate import pair_context
 from .deficit import _i2_row, _renyi_from
 from .discord import SearchConfig, _optimize, _s2_closed
-from .entropy import VON_NEUMANN, entanglement_of_formation
+from .entropy import QUADRATIC, VON_NEUMANN, entanglement_of_formation
 from .errors import QcorrError, SweepConfigError
 from .spinchain import (
     MAX_SITES,
@@ -38,14 +38,16 @@ from .spinchain import (
     reduced_pair,
     rho_theta,
 )
-from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose
+from .statekit import BipartiteLayout, DensityMatrix
 
 TWO_QUBIT = BipartiteLayout(2, 2)
 
-#: Measures with a minimizing-measurement direction attached; D and I1 are
-#: searched, as the discord ("D") and the von Neumann deficit ("I").
+#: Measures with a minimizing-measurement direction attached.
 ANGLED_MEASURES = ("D", "I1", "I2", "IR2", "S2cond")
-_SEARCHED = {"D": "D", "I1": "I"}
+#: The ``_optimize`` job of a measure: D and I1 are searched, as the discord
+#: ("D") and the von Neumann deficit ("I"); I2 and IR2 share the I2 closed form.
+_JOBS = {"D": ("D", VON_NEUMANN), "I1": ("I", VON_NEUMANN)}
+_JOBS.update(dict.fromkeys(("I2", "IR2"), (_i2_row, QUADRATIC)))
 ALL_MEASURES = ("D", "I1", "I2", "IR2", "concurrence", "eof", "S2cond")
 
 SWEEP_VARIABLES = ("h_z", "gamma")
@@ -259,36 +261,23 @@ def measure_state(
 def _pair_cells(pairs, measures, search: SearchConfig | None, layout=TWO_QUBIT) -> list[dict]:
     """Requested measures of several pairs of one layout, as one batch.
 
-    D and I1 of all pairs are searched as one stack and the residuals come
-    from one call.  I2 is read from a pair's context where the state object
-    already has it (see :class:`qcorr._pairstate.PairContext`), else computed
-    from the Bloch decomposition it shares with S2cond and kept there; IR2
-    takes I2's result.  Concurrence and eof share one EoF evaluation.
+    D, I1 and I2 of all pairs are jobs of one :func:`qcorr.discord._optimize`
+    call: the searches run as one stack and the residuals come from one call.
+    IR2 takes I2's result, S2cond reads the context's Bloch decomposition, and
+    concurrence and eof share one EoF evaluation.
     """
-    searched = [m for m in measures if m in _SEARCHED]
-    find = pair_context if searched or "IR2" in measures else cached_context
-    ctxs = [find(p, layout) for p in pairs]
-    memos = [{} if ctx is None else ctx.results for ctx in ctxs]
-    with_i2 = {"I2", "IR2"} & set(measures)
-    new_i2 = [i for i, memo in enumerate(memos) if with_i2 and CLOSED_I2 not in memo]
-    decs = [
-        bloch_decompose(p, layout) if "S2cond" in measures or i in new_i2 else None
-        for i, p in enumerate(pairs)
-    ]
-    jobs = [(ctx, _SEARCHED[m], VON_NEUMANN) for ctx in ctxs for m in searched]
-    done = iter(_optimize(jobs, search, [_i2_row(pairs[i], decs[i], layout.d_a) for i in new_i2]))
-    results = [{m: next(done) for m in searched} for _ in pairs]
-    for i in new_i2:
-        memos[i][CLOSED_I2] = next(done)
+    ctxs = [pair_context(p, layout) for p in pairs]
+    kinds = list(dict.fromkeys(_JOBS[m] for m in measures if m in _JOBS))
+    done = iter(_optimize([(ctx, *kind) for ctx in ctxs for kind in kinds], search))
     cells = []
-    for pair, ctx, memo, dec, res in zip(pairs, ctxs, memos, decs, results):
+    for pair, ctx in zip(pairs, ctxs):
+        found = {kind: next(done) for kind in kinds}
+        res = {m: found[_JOBS[m]] for m in measures if m in _JOBS}
         ent = entanglement_of_formation(pair) if {"concurrence", "eof"} & set(measures) else None
         if "S2cond" in measures:
-            res["S2cond"] = _s2_closed(dec, layout.d_a)
-        if "I2" in measures:
-            res["I2"] = memo[CLOSED_I2]
+            res["S2cond"] = _s2_closed(ctx)
         if "IR2" in measures:
-            res["IR2"] = _renyi_from(memo[CLOSED_I2], ctx.joint_spectrum, 2.0)
+            res["IR2"] = _renyi_from(res["IR2"], ctx.joint_spectrum, 2.0)
         cells.append({
             m: MeasureCell(res[m].value, res[m].theta, res[m].phi)
             if m in res else MeasureCell(getattr(ent, m))

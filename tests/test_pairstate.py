@@ -3,6 +3,7 @@ one search per objective and state object, and the canonical image of a
 minimizer on symmetric states."""
 
 import importlib
+import sys
 from collections import Counter
 
 import numpy as np
@@ -14,8 +15,14 @@ from helpers import pinched_blocks, random_density, random_pure
 from qcorr import _pairstate
 from qcorr._pairstate import PairContext
 from qcorr._sphere import sphere_grid
-from qcorr.deficit import deficit, quadratic_deficit_closed, renyi_deficit
-from qcorr.discord import SearchConfig, conditional_entropy_min, discord
+from qcorr.deficit import deficit, deficit_matrix, quadratic_deficit_closed, renyi_deficit
+from qcorr.discord import (
+    SearchConfig,
+    conditional_entropy_min,
+    discord,
+    ellipsoid,
+    quadratic_closed_form,
+)
 from qcorr.entropy import QUADRATIC, VON_NEUMANN, entropy, tsallis
 from qcorr.errors import LayoutMismatch
 from qcorr.measurement import unread_state
@@ -100,21 +107,46 @@ class TestBlochForm:
 
 class TestPairMemo:
     def test_all_measures_of_a_pair_build_one_context(self, monkeypatch):
-        built = []
-        init = PairContext.__init__
+        built, decomposed = [], []
+        init, decompose = PairContext.__init__, _pairstate.bloch_decompose
 
         def counting_init(self, rho, layout):
             built.append(rho)
             init(self, rho, layout)
 
+        def counting_decompose(rho, layout):
+            decomposed.append(rho)
+            return decompose(rho, layout)
+
         monkeypatch.setattr(PairContext, "__init__", counting_init)
+        for module in [m for name, m in sys.modules.items() if name.startswith("qcorr")]:
+            if getattr(module, "bloch_decompose", None) is decompose:  # under every name
+                monkeypatch.setattr(module, "bloch_decompose", counting_decompose)
         pair = chain_pair(64, 2)
         for measure in ALL_MEASURES:
             measure_state(pair, measure)
-        assert built == [pair]
-        # closed forms alone need no context
-        measure_state(chain_pair(64, 1), "I2")
-        assert built == [pair]
+        assert built == decomposed == [pair]
+        # closed forms alone build the one context and read its one decomposition
+        closed = chain_pair(64, 1)
+        measure_state(closed, "I2")
+        measure_state(closed, "S2cond")
+        ellipsoid(closed, LAY22)
+        deficit_matrix(closed, LAY22)
+        assert built == decomposed == [pair, closed]
+        # the states benchmark's calls on a qubit state, and the closed forms of a qutrit one
+        rng = np.random.default_rng(44)
+        qubit, qutrit, lay32 = random_density(rng, 4), random_density(rng, 6), BipartiteLayout(3, 2)
+        discord(qubit, LAY22, COARSE)
+        for functional in (VON_NEUMANN, tsallis(0.5), tsallis(3.0)):
+            deficit(qubit, LAY22, functional, COARSE)
+        renyi_deficit(qubit, LAY22, 0.5, COARSE)
+        renyi_deficit(qubit, LAY22, 2.0, COARSE)
+        quadratic_closed_form(qubit, LAY22)
+        quadratic_deficit_closed(qubit, LAY22)
+        ellipsoid(qubit, LAY22)
+        for closed_form in (quadratic_closed_form, quadratic_deficit_closed, ellipsoid):
+            closed_form(qutrit, lay32)
+        assert built == decomposed == [pair, closed, qubit, qutrit]
 
     def test_states_evaluated_alternately_keep_their_own_values(self, monkeypatch):
         rng = np.random.default_rng(41)
@@ -165,7 +197,7 @@ class TestPairMemo:
             monkeypatch.setattr(importlib.import_module(module), name, counting)
 
         count("qcorr.discord", "_grid_refine")
-        count("qcorr.deficit", "bloch_decompose")
+        count("qcorr._pairstate", "bloch_decompose")
         rho = random_density(np.random.default_rng(43), 4)
         tq = deficit(rho, LAY22, tsallis(0.5), COARSE)
         rq = renyi_deficit(rho, LAY22, 0.5, COARSE)

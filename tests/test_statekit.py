@@ -144,10 +144,16 @@ class TestBlochDecompose:
         for _ in range(50 if d_a == 2 else 20):
             rho = random_density(rng, 2 * d_a)
             dec = bloch_decompose(rho, lay)
-            # the path found once per d_A gives the bits of a path searched on every call
-            four, basis_a = rho.entries.reshape(d_a, 2, d_a, 2), gellmann_basis(d_a).ops
-            searched = np.einsum("aibj,mba,nji->mn", four, basis_a, PAULI, optimize=True)
-            assert np.array_equal(dec.moment, searched.real)
+            basis_a = gellmann_basis(d_a).ops
+            for u, s_u in enumerate(basis_a):
+                for v, s_v in enumerate(PAULI):
+                    traced = np.trace(rho.entries @ np.kron(s_u, s_v)).real
+                    assert abs(dec.moment[u, v] - traced) < 1e-14
+            if d_a == 2:  # the searches' Bloch forms take these bits: D and I1 depend on them
+                four = rho.entries.reshape(2, 2, 2, 2)
+                t_ops = np.einsum("aibj,nji->nab", four, PAULI)
+                moment = np.einsum("mba,nab->mn", PAULI, t_ops).real
+                assert np.array_equal(dec.corr, moment - np.outer(dec.r_a, dec.r_b))
             back = reconstruct(dec, lay)
             assert np.abs(back.entries - rho.entries).max() < 1e-10
             assert np.linalg.norm(dec.r_b) <= 1.0 + 1e-10
