@@ -40,10 +40,10 @@ _ODD = np.add.outer([0, 1, 1, 0], [0, 1, 1, 0]) % 2 == 1  # basis index 2a + b h
 class PairContext:
     """Precomputed tensors of one state, reused across many directions.
 
-    ``dec`` is the state's one :func:`~qcorr.statekit.bloch_decompose`, which
-    the searches' Bloch forms and every closed form read.  ``results`` keeps
-    the state's finished results, returned as they are when asked again (see
-    :func:`qcorr.discord._optimize`).
+    ``dec`` is the state's one :func:`~qcorr.statekit.bloch_decompose`, reduced
+    states included; a qudit A also keeps ``t_ops[n] = Tr_B[rho (I x sigma_n)]``.
+    ``results`` keeps the state's finished results, returned as they are when
+    asked again (see :func:`qcorr.discord._optimize`).
     """
 
     def __init__(self, rho: DensityMatrix, layout: BipartiteLayout):
@@ -51,14 +51,13 @@ class PairContext:
         self.layout = layout
         self.d_a = layout.d_a
         self.rho = rho
-        four = rho.entries.reshape(layout.d_a, 2, layout.d_a, 2)
-        self.rho_a = np.einsum("aibi->ab", four)
-        self.rho_b = np.einsum("aiaj->ij", four)
-        self.t_ops = np.einsum("aibj,nji->nab", four, PAULI)
         self.r_a, self.r_b, self.corr = self.dec.r_a, self.dec.r_b, self.dec.corr
         self.joint_spectrum = np.linalg.eigvalsh(rho.entries)
         if self.d_a == 2:
-            self.mixedness = 4.0 * np.linalg.det(self.rho_a).real  # 1 - |r_a|^2
+            self.mixedness = 4.0 * np.linalg.det(self.dec.rho_a).real  # 1 - |r_a|^2
+        else:
+            four = rho.entries.reshape(layout.d_a, 2, layout.d_a, 2)
+            self.t_ops = np.einsum("aibj,nji->nab", four, PAULI)
         self.real = np.abs(rho.entries.imag).max() <= SYMMETRY_TOL
         self.parity = self.d_a == 2 and np.abs(rho.entries[_ODD]).max() <= SYMMETRY_TOL
         # Symmetries of every objective: even in k_y if real, and in k_x too if also parity-even.
@@ -78,8 +77,9 @@ class PairContext:
         else:
             two_p = np.maximum(1.0 + _SIGNS * np.einsum("n,mn->m", self.r_b, ks), 0.0)
             probs = np.ascontiguousarray(0.5 * two_p.T)
-            delta = (ks @ self.t_ops.reshape(3, -1)).reshape(len(ks), self.d_a, self.d_a)
-            lams = np.linalg.eigvalsh(0.5 * np.stack([self.rho_a + delta, self.rho_a - delta], 1))
+            # summed in order, not by BLAS, so that a direction gets the same bits in any batch
+            delta = sum(ks[:, n, _2D, _2D] * self.t_ops[n] for n in range(3))
+            lams = np.linalg.eigvalsh(0.5 * (self.dec.rho_a + _SIGNS[:, :, _2D] * delta[:, _2D]))
         if is_sphere_grid(dirs):
             self._grid = (dirs, (probs, lams))
         return probs, lams

@@ -239,8 +239,8 @@ def dominant_direction(candidates: np.ndarray) -> np.ndarray:
     Given column vectors spanning the tied subspace, returns the unit vector
     in their span that maximizes |k_z|, falling back to |k_x| and then
     |k_y| when the preferred axis is orthogonal to the span.  The columns
-    must be linearly independent (``eigh``'s tied eigenvectors, or their
-    image under an invertible whitener) for QR to give the span's basis.
+    must be linearly independent (tied eigenvectors or singular vectors, or
+    their image under an invertible whitener) for QR to give the span's basis.
     """
     basis = np.linalg.qr(np.reshape(candidates, (3, -1)))[0]
     for axis in (2, 0, 1):

@@ -194,7 +194,7 @@ def _optimize(jobs, cfg: SearchConfig | None = None) -> list[OptimizationResult]
             mode = "discord" if f.family == FAMILY_VON_NEUMANN else None
             joint = spectrum_entropy(ctx.joint_spectrum, f)
             if measure == "D":
-                s_b = spectrum_entropy(np.linalg.eigvalsh(ctx.rho_b), VON_NEUMANN)
+                s_b = spectrum_entropy(np.linalg.eigvalsh(ctx.dec.rho_b), VON_NEUMANN)
                 value = _clip_noise(value - float(joint - s_b))
             elif measure == "I":
                 value, mode = _clip_noise(value - float(joint)), "deficit"
@@ -245,6 +245,12 @@ def _whitener(r_b: np.ndarray) -> np.ndarray:
     return (eye - hat) + hat / np.sqrt(1.0 - rb2)
 
 
+def _whitened_svd(dec):
+    """The whitener W of ``dec.r_b`` and the SVD ``u, s, vt`` of ``dec.corr @ W``."""
+    white = _whitener(dec.r_b)
+    return white, *np.linalg.svd(dec.corr @ white, full_matrices=False)
+
+
 def quadratic_closed_form(rho: DensityMatrix, layout: BipartiteLayout) -> OptimizationResult:
     """Closed-form minimum of the quadratic conditional entropy.
 
@@ -263,13 +269,9 @@ def _s2_closed(ctx) -> OptimizationResult:
     s2_a = (2.0 / d_a) * (d_a - 1.0 - float(dec.r_a @ dec.r_a))
     if 1.0 - np.linalg.norm(dec.r_b) < DEGENERATE_MARGINAL_TOL:
         return _result(s2_a, np.array([0.0, 0.0, 1.0]), CLOSED_FORM, degenerate=True)
-    white = _whitener(dec.r_b)
-    gram = white @ (dec.corr.T @ dec.corr) @ white
-    gram = 0.5 * (gram + gram.T)
-    lams, vecs = np.linalg.eigh(gram)
-    lam_max = lams[-1]
-    tied = lams >= lam_max - TIE_TOL
-    k = dominant_direction(white @ vecs[:, tied])
+    white, _, s, vt = _whitened_svd(dec)
+    lam_max = s[0] * s[0]
+    k = dominant_direction(white @ vt[s * s >= lam_max - TIE_TOL].T)
     n_b = np.eye(3) - np.outer(dec.r_b, dec.r_b)
     residual = float(np.linalg.norm(dec.corr.T @ dec.corr @ k - lam_max * (n_b @ k)))
     return _result(s2_a - 2.0 * lam_max / d_a, k, CLOSED_FORM, residual)
@@ -280,20 +282,18 @@ def ellipsoid(rho: DensityMatrix, layout: BipartiteLayout) -> CorrelationEllipso
 
     The direction returned by :func:`quadratic_closed_form` shifts the
     post-measurement Bloch vector of A along the major axis of this
-    ellipsoid.
+    ellipsoid: both come from the one SVD of :func:`_whitened_svd`.
     """
     dec = pair_context(rho, layout).dec
-    n = dec.corr.shape[0]
     if 1.0 - np.linalg.norm(dec.r_b) < DEGENERATE_MARGINAL_TOL:
         return CorrelationEllipsoid(
             semi_axes=np.zeros(3),
             axis_dirs_b=np.eye(3),
-            axis_dirs_a=np.eye(n)[:3],
+            axis_dirs_a=np.eye(dec.corr.shape[0])[:3],
             center=dec.r_a.copy(),
             degenerate_marginal=True,
         )
-    white = _whitener(dec.r_b)
-    u, s, vt = np.linalg.svd(dec.corr @ white, full_matrices=False)
+    _, u, s, vt = _whitened_svd(dec)
     return CorrelationEllipsoid(
         semi_axes=s,
         axis_dirs_b=vt,

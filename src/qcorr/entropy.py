@@ -4,11 +4,11 @@ All entropies use base-2 logarithms and are normalized so that a maximally
 mixed single qubit has entropy 1 in every family:
 
 * von Neumann:  S(rho) = -sum_i lam_i log2 lam_i
-* quadratic (linear entropy):  S_2(rho) = 2 (1 - Tr rho^2)
-* Tsallis-q:  S_q(rho) = (1 - Tr rho^q) / (1 - 2^(1-q)),  q > 0, q != 1
+* Tsallis-q:  S_q(rho) = (1 - Tr rho^q) / (1 - 2^(1-q)),  q > 0, q != 1;
+  :data:`QUADRATIC` is q = 2, the linear entropy S_2(rho) = 2 (1 - Tr rho^2)
 * Renyi-q:  S_Rq(rho) = log2(Tr rho^q) / (1 - q),  q > 0, q != 1
 
-The first three are trace forms S_f(rho) = Tr f(rho) with f strictly concave
+The first two are trace forms S_f(rho) = Tr f(rho) with f strictly concave
 and f(0) = f(1) = 0; the Renyi family is a monotone function of the Tsallis
 family at fixed q and is excluded from spectral-derivative operations.
 """
@@ -27,7 +27,6 @@ _LN2 = np.log(2.0)
 _LOG_FLOOR = 1e-300
 
 FAMILY_VON_NEUMANN = "von_neumann"
-FAMILY_QUADRATIC = "quadratic"
 FAMILY_TSALLIS = "tsallis"
 FAMILY_RENYI = "renyi"
 
@@ -61,7 +60,7 @@ def renyi(q: float) -> EntropyFunctional:
 
 
 VON_NEUMANN = EntropyFunctional(FAMILY_VON_NEUMANN)
-QUADRATIC = EntropyFunctional(FAMILY_QUADRATIC)
+QUADRATIC = tsallis(2.0)
 
 
 def spectrum_entropy(weights: np.ndarray, functional: EntropyFunctional) -> np.ndarray:
@@ -76,8 +75,6 @@ def spectrum_entropy(weights: np.ndarray, functional: EntropyFunctional) -> np.n
     if fam == FAMILY_VON_NEUMANN:
         terms = np.where(w > 0.0, -w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
         return terms.sum(axis=-1)
-    if fam == FAMILY_QUADRATIC:
-        return 2.0 * (1.0 - (w * w).sum(axis=-1))
     if fam == FAMILY_TSALLIS:
         q = functional.q
         return (1.0 - (w**q).sum(axis=-1)) / (1.0 - 2.0 ** (1.0 - q))
@@ -104,8 +101,6 @@ def f_prime_values(lams: np.ndarray, functional: EntropyFunctional) -> np.ndarra
             )
         lams = np.clip(lams, _LOG_FLOOR, None)
         return -np.log2(lams) - 1.0 / _LN2
-    if fam == FAMILY_QUADRATIC:
-        return 2.0 - 4.0 * lams
     if fam == FAMILY_TSALLIS:
         q = functional.q
         lams = np.clip(lams, _LOG_FLOOR, None) if q < 1.0 else np.clip(lams, 0.0, None)

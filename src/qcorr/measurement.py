@@ -20,7 +20,6 @@ from .statekit import (
     DensityMatrix,
     bloch_decompose,
     make_density,
-    partial_trace,
 )
 
 NORM_TOL = 1e-12
@@ -152,10 +151,9 @@ def condition_on_measurement(
     p below 1e-14 are returned with p = 0 and the unconditioned reduced
     state, since the conditional state is a 0/0 limit there.
     """
-    layout.check(rho)
     dec = bloch_decompose(rho, layout)
     four = rho.entries.reshape(layout.d_a, 2, layout.d_a, 2)
-    rho_a = partial_trace(rho, layout, keep="A")
+    rho_a = make_density(dec.rho_a)
     outcomes = []
     for q, k in povm.elements():
         p = 0.5 * q * (1.0 + float(dec.r_b @ k))

@@ -252,10 +252,11 @@ def parity_crossings(
 ) -> np.ndarray:
     """Transverse fields where the parity-sector ground levels cross.
 
-    Scans the energy splitting on a uniform grid and refines each sign change
-    by bisection.  Each block is assembled once without the field, whose
-    diagonal is then rewritten in place at every scanned field, so a scan costs
-    one lowest-level solve per grid point and block.
+    Scans the energy splitting on a uniform grid and bisects each sign change
+    against the sign at its lower grid point.  Each block is assembled once
+    without the field, whose diagonal is then rewritten in place at every
+    scanned field, so a scan costs one lowest-level solve per grid point and
+    block.
     """
     h_sparse = _sparse_hamiltonian(replace(spec, field=(0.0, 0.0, 0.0)))
     zsum = (1.0 - 2.0 * _site_bits(spec.n_sites)).sum(axis=1)
@@ -278,17 +279,12 @@ def parity_crossings(
             continue
         if a * b < 0.0:
             lo, hi = grid[i], grid[i + 1]
-            flo = a
             while hi - lo > CROSSING_TOL:
                 mid = 0.5 * (lo + hi)
-                fm = splitting(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
+                if a * splitting(mid) < 0.0:
                     hi = mid
                 else:
-                    lo, flo = mid, fm
+                    lo = mid
             crossings.append(0.5 * (lo + hi))
     return np.array(crossings)
 
@@ -387,6 +383,8 @@ def concurrence_side_limits(chi: float, n_sites: int) -> tuple[float, float]:
     C_+- = chi^(N/2 - 1) (1 - chi) / (1 +- chi^(N/2)); the overlap between
     the two factorized chains enters through chi^(N/2) = cos(theta)^N.
     """
+    if not 0.0 < chi < 1.0:
+        raise ValueError(f"chi must be in (0, 1), got {chi}")
     half = chi ** (n_sites / 2.0)
     common = chi ** (n_sites / 2.0 - 1.0) * (1.0 - chi)
     return common / (1.0 + half), common / (1.0 - half)

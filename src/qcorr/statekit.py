@@ -93,13 +93,15 @@ class BlochDecomposition:
 
     ``corr`` is the covariance tensor ``<sA_u x sB_v> - <sA_u><sB_v>`` and
     ``moment`` the uncentered cross-moment tensor, so that
-    ``moment = corr + outer(r_a, r_b)``.
+    ``moment = corr + outer(r_a, r_b)``.  ``rho_a`` and ``rho_b`` are the reduced states.
     """
 
     r_a: np.ndarray  # (d_a^2 - 1,)
     r_b: np.ndarray  # (3,)
     corr: np.ndarray  # (d_a^2 - 1, 3)
     moment: np.ndarray  # (d_a^2 - 1, 3)
+    rho_a: np.ndarray  # (d_a, d_a)
+    rho_b: np.ndarray  # (2, 2)
 
 
 def make_density(entries) -> DensityMatrix:
@@ -163,15 +165,10 @@ def partial_trace(rho: DensityMatrix, layout: BipartiteLayout, keep: str = "A") 
     keep : {"A", "B"}
         Which factor to keep.
     """
-    layout.check(rho)
-    four = rho.entries.reshape(layout.d_a, layout.d_b, layout.d_a, layout.d_b)
-    if keep == "A":
-        red = np.einsum("aibi->ab", four)
-    elif keep == "B":
-        red = np.einsum("aiaj->ij", four)
-    else:
+    if keep not in ("A", "B"):
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return make_density(red)
+    dec = bloch_decompose(rho, layout)
+    return make_density(dec.rho_a if keep == "A" else dec.rho_b)
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -235,7 +232,7 @@ def bloch_decompose(rho: DensityMatrix, layout: BipartiteLayout) -> BlochDecompo
     t_ops = np.einsum("aibj,nji->nab", four, PAULI)
     moment = np.einsum("mba,nab->mn", basis_a, t_ops).real
     corr = moment - np.outer(r_a, r_b)
-    return BlochDecomposition(r_a=r_a, r_b=r_b, corr=corr, moment=moment)
+    return BlochDecomposition(r_a, r_b, corr, moment, rho_a, rho_b)
 
 
 def reconstruct(dec: BlochDecomposition, layout: BipartiteLayout) -> DensityMatrix:

@@ -9,7 +9,17 @@ different computational route.
 
 import numpy as np
 
+from qcorr.entropy import QUADRATIC
 from qcorr.statekit import BipartiteLayout, DensityMatrix, make_density
+
+
+def family_id(functional) -> str:
+    """Parameter id of a functional: its label, or "quadratic" for the object ``QUADRATIC``.
+
+    ``QUADRATIC`` equals ``tsallis(2.0)`` and shares its label, so the two
+    need distinct ids where a test runs both.
+    """
+    return "quadratic" if functional is QUADRATIC else functional.label()
 
 
 def random_density(rng, dim, rank=None) -> DensityMatrix:

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     degree_grid,
+    family_id,
     local_zoom,
     oracle_quadratic_deficit,
     random_density,
@@ -96,7 +97,7 @@ class TestDeficit:
             assert abs(abs(res.k_star.k[2]) - 1.0) < 1e-4
 
     @pytest.mark.parametrize("functional", [VON_NEUMANN, QUADRATIC, tsallis(0.5), tsallis(3.0)],
-                             ids=lambda f: f.label())
+                             ids=family_id)
     def test_nonnegative(self, functional):
         rng = np.random.default_rng(4)
         for _ in range(10):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_density, random_pure
+from helpers import family_id, random_density, random_pure
 from qcorr.entropy import (
     QUADRATIC,
     VON_NEUMANN,
@@ -24,7 +24,7 @@ TRACE_FAMILIES = [VON_NEUMANN, QUADRATIC, tsallis(0.5), tsallis(2.0), tsallis(3.
 
 
 class TestEntropy:
-    @pytest.mark.parametrize("functional", ALL_FAMILIES, ids=lambda f: f.label())
+    @pytest.mark.parametrize("functional", ALL_FAMILIES, ids=family_id)
     def test_pure_state_zero(self, functional):
         rng = np.random.default_rng(1)
         for dim in (2, 4):
@@ -34,7 +34,7 @@ class TestEntropy:
             # powers amplify to ~1e-8.
             assert abs(entropy(random_pure(rng, dim), functional)) < 1e-7
 
-    @pytest.mark.parametrize("functional", ALL_FAMILIES, ids=lambda f: f.label())
+    @pytest.mark.parametrize("functional", ALL_FAMILIES, ids=family_id)
     def test_maximally_mixed_qubit_is_one(self, functional):
         rho = make_density(np.eye(2) / 2)
         assert abs(entropy(rho, functional) - 1.0) < 1e-12
@@ -45,13 +45,21 @@ class TestEntropy:
         assert abs(entropy(rho, VON_NEUMANN) - direct) < 1e-12
         assert abs(entropy(rho, VON_NEUMANN) - 0.811278) < 1e-6
 
+    def test_quadratic_is_tsallis_two(self):
+        # 2 (1 - sum w^2) bit for bit: the normalization 1 / (1 - 2^-1) is an exact factor 2
+        assert QUADRATIC == tsallis(2.0)
+        rng = np.random.default_rng(5)
+        for dim in (2, 3, 4, 8):
+            w = rng.dirichlet(np.ones(dim), size=50)
+            assert np.array_equal(spectrum_entropy(w, QUADRATIC), 2.0 * (1.0 - (w * w).sum(-1)))
+
     def test_quadratic_matches_purity(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             rho = random_density(rng, 3)
             assert abs(entropy(rho, QUADRATIC) - 2.0 * (1.0 - purity(rho))) < 1e-12
 
-    @pytest.mark.parametrize("functional", TRACE_FAMILIES, ids=lambda f: f.label())
+    @pytest.mark.parametrize("functional", TRACE_FAMILIES, ids=family_id)
     def test_concavity(self, functional):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -100,13 +108,21 @@ class TestFPrime:
         out = f_prime_matrix(make_density(np.diag([1.0, 0.0])), QUADRATIC)
         assert np.allclose(out, np.diag([-2.0, 2.0]))
 
+    def test_quadratic_is_two_minus_four_lambda(self):
+        lams = np.random.default_rng(6).uniform(0.0, 1.0, 200)
+        assert np.array_equal(f_prime_values(lams, QUADRATIC), 2.0 - 4.0 * lams)
+        # a negative rounding-level eigenvalue reads as 0, within 4.4e-16 of 2 - 4 lam
+        noise = np.array([-1e-17, -5e-17, -1e-16])
+        assert np.array_equal(f_prime_values(noise, QUADRATIC), np.full(3, 2.0))
+        assert np.abs(f_prime_values(noise, QUADRATIC) - (2.0 - 4.0 * noise)).max() <= 4.5e-16
+
     def test_von_neumann_on_maximally_mixed(self):
         out = f_prime_matrix(make_density(np.eye(2) / 2), VON_NEUMANN)
         assert np.allclose(out, (1.0 - 1.0 / np.log(2)) * np.eye(2))
 
     @pytest.mark.parametrize(
         "functional", [VON_NEUMANN, QUADRATIC, tsallis(2.7), tsallis(0.6)],
-        ids=lambda f: f.label(),
+        ids=family_id,
     )
     def test_matches_finite_difference(self, functional):
         # f' should be the derivative of the per-eigenvalue integrand f,
@@ -114,8 +130,6 @@ class TestFPrime:
         eps = 1e-6
         if functional.family == "von_neumann":
             f_of = lambda lam: -lam * np.log2(lam)
-        elif functional.family == "quadratic":
-            f_of = lambda lam: 2.0 * lam * (1.0 - lam)
         else:
             q = functional.q
             f_of = lambda lam: (lam - lam**q) / (1.0 - 2.0 ** (1.0 - q))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    family_id,
     majorizes,
     random_density,
     random_direction,
@@ -207,7 +208,7 @@ class TestConditionalEntropy:
         povm = projective_povm(np.array([0.0, 0.0, 1.0]))
         assert abs(conditional_entropy(bell(), LAY22, povm, VON_NEUMANN)) < 1e-12
 
-    @pytest.mark.parametrize("functional", FAMILIES, ids=lambda f: f.label())
+    @pytest.mark.parametrize("functional", FAMILIES, ids=family_id)
     def test_concavity_bound_on_grid(self, functional):
         # Average conditional mixedness never exceeds the marginal mixedness,
         # checked on a 20 x 20 direction grid.

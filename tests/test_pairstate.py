@@ -48,19 +48,19 @@ def chain_pair(hz_index, separation):
     return reduced_pair(ground_state(spec), 0, separation)
 
 
-def make_state(kind, seed):
+def make_state(kind, seed, d_a=2):
     rng = np.random.default_rng(seed)
     if kind == "mixed":
-        return random_density(rng, 4)
+        return random_density(rng, 2 * d_a)
     if kind == "rank2":
-        return random_density(rng, 4, rank=2)
+        return random_density(rng, 2 * d_a, rank=2)
     if kind == "pure":
-        return random_pure(rng, 4)
+        return random_pure(rng, 2 * d_a)
     # a product with a pure B marginal, plus 1e-9..1e-3 of noise if B is to be nearly pure
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    product = np.kron(random_density(rng, 2).entries, np.outer(v, v.conj()) / np.vdot(v, v).real)
+    product = np.kron(random_density(rng, d_a).entries, np.outer(v, v.conj()) / np.vdot(v, v).real)
     eps = 10.0 ** -rng.uniform(3.0, 9.0) if kind == "near_pure_b" else 0.0
-    return make_density((1.0 - eps) * product + eps * random_density(rng, 4).entries)
+    return make_density((1.0 - eps) * product + eps * random_density(rng, 2 * d_a).entries)
 
 
 KINDS = st.sampled_from(["mixed", "rank2", "pure", "near_pure_b", "pure_b"])
@@ -93,16 +93,17 @@ class TestBlochForm:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(kind=KINDS, seed=SEEDS)
     def test_cached_grid_values_equal_single_row_calls(self, kind, seed):
-        ctx = PairContext(make_state(kind, seed), LAY22)
         grid = sphere_grid(16, 32)
-        for functional in (VON_NEUMANN, QUADRATIC, tsallis(2.5)):
-            cond = ctx.conditional_entropy(grid, functional)
-            joint = ctx.measured_joint_entropy(grid, functional)
-            assert ctx.measured_blocks(grid) is ctx.measured_blocks(grid)  # served from the cache
-            for i in range(0, len(grid), 13):
-                row = grid[i : i + 1].copy()
-                assert cond[i] == ctx.conditional_entropy(row, functional)[0]
-                assert joint[i] == ctx.measured_joint_entropy(row, functional)[0]
+        for d_a in (2, 3):  # the qubit-A Bloch form and the qutrit-A blocks
+            ctx = PairContext(make_state(kind, seed, d_a), BipartiteLayout(d_a, 2))
+            for functional in (VON_NEUMANN, QUADRATIC, tsallis(2.5)):
+                cond = ctx.conditional_entropy(grid, functional)
+                joint = ctx.measured_joint_entropy(grid, functional)
+                assert ctx.measured_blocks(grid) is ctx.measured_blocks(grid)  # from the cache
+                for i in range(0, len(grid), 13):
+                    row = grid[i : i + 1].copy()
+                    assert cond[i] == ctx.conditional_entropy(row, functional)[0]
+                    assert joint[i] == ctx.measured_joint_entropy(row, functional)[0]
 
 
 class TestPairMemo:
@@ -218,6 +219,20 @@ class TestPairMemo:
         # a 4x4 matrix has one layout; another one is refused, not read from the memo
         with pytest.raises(LayoutMismatch):
             discord(rho, BipartiteLayout(3, 2), COARSE)
+
+    def test_quadratic_and_tsallis_two_share_one_search(self, monkeypatch):
+        calls = Counter()
+        grid_refine = importlib.import_module("qcorr.discord")._grid_refine
+
+        def counting(*args, **kwargs):
+            calls["_grid_refine"] += 1
+            return grid_refine(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module("qcorr.discord"), "_grid_refine", counting)
+        rho = random_density(np.random.default_rng(45), 4)
+        first = deficit(rho, LAY22, QUADRATIC, COARSE)
+        assert deficit(rho, LAY22, tsallis(2.0), COARSE) is first
+        assert calls["_grid_refine"] == 1
 
 
 class TestCanonicalImage:

@@ -186,6 +186,20 @@ class TestParityCrossings:
         assert len(crossings) == 5
         assert abs(crossings[-1] - np.sqrt(0.5)) < 1e-4
 
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_crossings_bracket_a_sign_change(self, n):
+        # the splitting changes sign within 1e-8 of every crossing, and the last one is h_zs
+        spec = SpinChainSpec(n_sites=n, j_x=1.0, chi=0.5)
+        crossings = parity_crossings(spec, 1e-4, 0.75, points=120)
+        assert len(crossings) == n // 2
+        for h in crossings:
+            signs = []
+            for side in (h - 1e-8, h + 1e-8):
+                e_even, e_odd = parity_sector_energies(SpinChainSpec(n, 1.0, 0.5, (0.0, 0.0, side)))
+                signs.append(np.sign(e_even - e_odd))
+            assert signs[0] * signs[1] == -1.0
+        assert abs(crossings[-1] - np.sqrt(0.5)) < 1e-9
+
 
 class TestReducedPair:
     def test_translation_invariance(self):
@@ -273,6 +287,12 @@ class TestRhoTheta:
         assert abs(concurrence(rm) - cm) < 1e-9
         assert abs(cp - 0.0588235) < 1e-6
         assert abs(cm - 0.0666667) < 1e-6
+
+    def test_side_limit_formula_domain(self):
+        assert concurrence_side_limits(0.5, 8) == (0.0625 / 1.0625, 0.0625 / 0.9375)
+        for chi in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ValueError):
+                concurrence_side_limits(chi, 8)
 
     def test_bloch_convention(self):
         theta = 0.7
