@@ -66,14 +66,15 @@ class DeficitMatrix:
 
 def deficit_matrix(rho: DensityMatrix, layout: BipartiteLayout) -> DeficitMatrix:
     """Build ``r_b r_b^T + J^T J`` from the Bloch decomposition."""
-    return _deficit_matrix(pair_context(rho, layout).dec)
+    return _deficit_eigh(pair_context(rho, layout).dec)[0]
 
 
-def _deficit_matrix(dec) -> DeficitMatrix:
+def _deficit_eigh(dec) -> tuple[DeficitMatrix, np.ndarray, np.ndarray]:
+    """The deficit matrix of a decomposition with its eigenvalues and vectors, from one ``eigh``."""
     m = np.outer(dec.r_b, dec.r_b) + dec.moment.T @ dec.moment
     m = 0.5 * (m + m.T)
-    lams = np.linalg.eigvalsh(m)
-    return DeficitMatrix(matrix=m, lambda_max=float(lams[-1]), trace=float(np.trace(m)))
+    lams, vecs = np.linalg.eigh(m)
+    return DeficitMatrix(matrix=m, lambda_max=float(lams[-1]), trace=float(np.trace(m))), lams, vecs
 
 
 def deficit(
@@ -102,8 +103,7 @@ def quadratic_deficit_closed(rho: DensityMatrix, layout: BipartiteLayout) -> Opt
 
 def _i2_row(ctx) -> tuple:
     """The closed-form quadratic deficit of a context, as a closed-form job of ``_optimize``."""
-    dm = _deficit_matrix(ctx.dec)
-    lams, vecs = np.linalg.eigh(dm.matrix)
+    dm, lams, vecs = _deficit_eigh(ctx.dec)
     k = dominant_direction(vecs[:, lams >= dm.lambda_max - TIE_TOL])
     return _clip_noise((dm.trace - dm.lambda_max) / ctx.d_a), k, CLOSED_FORM, "deficit"
 

@@ -6,9 +6,11 @@ The Hamiltonian is
 
 on the cyclic first-neighbor ring (site N is site 0; N = 2 has one bond)
 that every formula here assumes, with S^u = sigma^u / 2, a field h in the xz
-plane and J_y = chi * J_x.  For a transverse field the z spin parity
-P_z = prod_i(-2 S_i^z) commutes with H, so diagonalization proceeds per
-parity block and ground-state parity crossings can be located exactly.  The
+plane and J_y = chi * J_x.  H is solved in the span of the translation-orbit
+sums (momentum zero), which holds its ground level when J_x >= 0, |chi| <= 1
+and h_x >= 0, and in the full basis otherwise.  For a transverse field the
+z spin parity P_z = prod_i(-2 S_i^z) commutes with H, so diagonalization
+proceeds per parity block and parity crossings can be located exactly.  The
 last crossing sits at the transverse factorizing field h_zs = J_x sqrt(chi),
 where two completely separable ground states with per-site cant angle theta
 (cos theta = sqrt(chi)) become degenerate; a field tilted by gamma < theta
@@ -23,6 +25,7 @@ spin-up (S^z = +1/2) state.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -73,8 +76,10 @@ class SpinChainSpec:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Ground level of a chain: energy, vector, and parity bookkeeping.
+    """Ground level of a chain: energy, amplitudes, and parity bookkeeping.
 
+    ``vector = basis @ amplitudes``, with ``basis`` the orthonormal basis the
+    chain was solved in (the shared momentum-zero orbit sums, or the identity).
     ``parity`` is +1 or -1 for transverse fields and 0 when the field breaks
     the symmetry.  At a parity crossing ``degenerate`` is set and
     ``side_limits`` carries the even- and odd-parity states whose reduced
@@ -82,17 +87,22 @@ class GroundState:
     """
 
     energy: float
-    vector: np.ndarray
+    amplitudes: np.ndarray
+    basis: sp.csr_matrix
     parity: int
     degenerate: bool = False
     side_limits: tuple["GroundState", "GroundState"] | None = None
 
     def __post_init__(self):
-        self.vector.setflags(write=False)
+        self.amplitudes.setflags(write=False)
+
+    @property
+    def vector(self) -> np.ndarray:
+        return self.basis @ self.amplitudes
 
     @property
     def n_sites(self) -> int:
-        return int(np.log2(self.vector.size) + 0.5)
+        return int(np.log2(self.basis.shape[0]) + 0.5)
 
     @property
     def parity_label(self) -> str:
@@ -181,8 +191,36 @@ def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(even)[0], np.nonzero(~even)[0]
 
 
+@lru_cache(maxsize=None)
+def _basis(n: int, momentum_zero: bool) -> sp.csr_matrix:
+    """The identity on N sites, or the isometry onto its translation-invariant states:
+    column j is the normalized sum of the j-th translation orbit of basis states,
+    labelled by its least bit rotation.  Cached, so states of one size share it."""
+    if not momentum_zero:
+        return sp.identity(1 << n, format="csr")
+    idx = np.arange(1 << n)
+    rotations = [((idx << s) | (idx >> (n - s))) & ((1 << n) - 1) for s in range(n)]
+    _, orbit, size = np.unique(np.min(rotations, axis=0), return_inverse=True, return_counts=True)
+    return sp.csr_matrix((size[orbit] ** -0.5, (idx, orbit)), shape=(1 << n, size.size))
+
+
+def _projected(h_sparse: sp.csr_matrix, n: int):
+    """The basis V chosen for a Hamiltonian, ``V^T H V``, and V's even and odd columns.
+
+    V is the momentum-zero isometry when no off-diagonal element of H is
+    positive, the identity otherwise.  Such an H is stoquastic: it and each
+    parity block have a nonnegative ground vector (Perron-Frobenius), whose
+    average over the translations, which commute with H and keep the parity,
+    lies in the span of the orbit sums.  A column's parity is the sign of ``V^T P_z``.
+    """
+    basis = _basis(n, bool((h_sparse - sp.diags(h_sparse.diagonal())).max() <= 0.0))
+    parity = basis.T @ (-1.0) ** (n + _site_bits(n).sum(axis=1))
+    sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
+    return basis, (basis.T @ h_sparse @ basis).tocsr(), sectors
+
+
 def _lowest_levels(
-    mat: sp.csr_matrix, k: int, vectors: bool = True
+    mat: sp.csr_matrix | np.ndarray, k: int, vectors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Lowest ``k`` eigenvalues (ascending) of a real symmetric matrix and their
     eigenvectors, or None in their place when ``vectors`` is false.
@@ -193,7 +231,8 @@ def _lowest_levels(
     """
     dim = mat.shape[0]
     if dim <= DENSE_MAX_DIM:
-        out = scipy.linalg.eigh(mat.toarray(), subset_by_index=(0, k - 1), eigvals_only=not vectors)
+        dense = mat if isinstance(mat, np.ndarray) else mat.toarray()
+        out = scipy.linalg.eigh(dense, subset_by_index=(0, k - 1), eigvals_only=not vectors)
     else:
         # A fixed start vector keeps ARPACK, and so the sweep output, deterministic.
         v0 = np.random.default_rng(0).normal(size=dim)
@@ -205,24 +244,27 @@ def _lowest_levels(
 
 def _sector_ground_states(h_sparse: sp.csr_matrix, n: int) -> tuple[GroundState, GroundState]:
     """Lowest even- and odd-parity states of a transverse-field Hamiltonian."""
+    basis, projected, sectors = _projected(h_sparse, n)
     states = []
-    for parity, sel in zip((PARITY_EVEN, PARITY_ODD), parity_sectors(n)):
-        w, v = _lowest_levels(h_sparse[sel][:, sel], 1)
-        vector = np.zeros(h_sparse.shape[0])
-        vector[sel] = v[:, 0]
-        states.append(GroundState(float(w[0]), vector, parity))
+    for parity, sel in zip((PARITY_EVEN, PARITY_ODD), sectors):
+        w, v = _lowest_levels(projected[sel][:, sel], 1)
+        amplitudes = np.zeros(basis.shape[1])
+        amplitudes[sel] = v[:, 0]
+        states.append(GroundState(float(w[0]), amplitudes, basis, parity))
     return states[0], states[1]
 
 
 def ground_state(spec: SpinChainSpec) -> GroundState:
     """Exact ground state of the chain.
 
-    Transverse fields are diagonalized per parity block; when the two block
-    minima agree within 1e-10 of the Hamiltonian scale the state is flagged
-    degenerate and both definite-parity side limits are attached (even
-    first).  Non-transverse fields break the symmetry and return a plain
-    ground state with parity marked broken.  Matrices up to dimension
-    ``DENSE_MAX_DIM`` are solved densely, larger ones by Lanczos.
+    H is solved in the basis ``_projected`` chooses.  Transverse fields are
+    diagonalized per parity block; when the two block minima agree within
+    1e-10 of the Hamiltonian scale the state is flagged degenerate and both
+    definite-parity side limits are attached (even first).  Other fields
+    break the symmetry: parity is marked broken, and ``degenerate`` reads the
+    two lowest levels in that basis (a level outside it could only be a lower
+    second one, and Perron-Frobenius keeps every such level above the ground
+    level).  Every solve is dense up to ``DENSE_MAX_DIM``, Lanczos above.
     """
     h_sparse = _sparse_hamiltonian(spec)
     scale = max(float(np.abs(h_sparse).sum(axis=1).max()), 1e-30)
@@ -233,10 +275,11 @@ def ground_state(spec: SpinChainSpec) -> GroundState:
             return lower
         side = (replace(even, degenerate=True), replace(odd, degenerate=True))
         return replace(lower, degenerate=True, side_limits=side)
-    w, v = _lowest_levels(h_sparse, 2)
+    basis, projected, _ = _projected(h_sparse, spec.n_sites)
+    w, v = _lowest_levels(projected, 2)
     degenerate = abs(w[1] - w[0]) <= DEGENERACY_RTOL * scale
     # A copy, so that the state does not keep the second eigenvector alive through a view.
-    return GroundState(float(w[0]), v[:, 0].copy(), PARITY_BROKEN, degenerate=degenerate)
+    return GroundState(float(w[0]), v[:, 0].copy(), basis, PARITY_BROKEN, degenerate=degenerate)
 
 
 def parity_sector_energies(spec: SpinChainSpec) -> tuple[float, float]:
@@ -252,33 +295,44 @@ def parity_crossings(
 ) -> np.ndarray:
     """Transverse fields where the parity-sector ground levels cross.
 
-    Scans the energy splitting on a uniform grid and bisects each sign change
-    against the sign at its lower grid point.  Each block is assembled once
-    without the field, whose diagonal is then rewritten in place at every
-    scanned field, so a scan costs one lowest-level solve per grid point and
-    block.
+    Scans the energy splitting on a uniform grid and bisects each cell whose
+    upper end changes sign, against the sign at its lower end.  A sector's
+    ground level has |dE/dh_z| <= N/2, so the grid points closer than |a| / N
+    to a computed splitting a keep its sign and are skipped.  Each block of
+    ``V^T H V`` is assembled once without the field (as an ndarray up to
+    ``DENSE_MAX_DIM``), and the field diagonal ``(V o V)^T sum_i sigma^z_i``
+    (constant on each orbit) is added to its own at every scanned field.
     """
-    h_sparse = _sparse_hamiltonian(replace(spec, field=(0.0, 0.0, 0.0)))
-    zsum = (1.0 - 2.0 * _site_bits(spec.n_sites)).sum(axis=1)
-    blocks = [(h_sparse[sel][:, sel], zsum[sel]) for sel in parity_sectors(spec.n_sites)]
+    h_zero = _sparse_hamiltonian(replace(spec, field=(0.0, 0.0, 0.0)))
+    basis, projected, sectors = _projected(h_zero, spec.n_sites)
+    zsum = basis.multiply(basis).T @ (1.0 - 2.0 * _site_bits(spec.n_sites)).sum(axis=1)
+    blocks = []
+    for sel in sectors:
+        m = projected[sel][:, sel]
+        blocks.append((m.toarray() if m.shape[0] <= DENSE_MAX_DIM else m, m.diagonal(), zsum[sel]))
 
     def splitting(h_z: float) -> float:
         energies = []
-        for block, zs in blocks:
-            block.setdiag(-0.5 * h_z * zs)
+        for block, diag, zs in blocks:
+            if isinstance(block, np.ndarray):
+                np.fill_diagonal(block, diag - 0.5 * h_z * zs)
+            else:
+                block = block + sp.diags(-0.5 * h_z * zs)
             energies.append(_lowest_levels(block, 1, vectors=False)[0][0])
         return energies[0] - energies[1]
 
     grid = np.linspace(h_min, h_max, points)
-    values = np.array([splitting(h) for h in grid])
     crossings = []
-    for i in range(points - 1):
-        a, b = values[i], values[i + 1]
+    i, a = 0, splitting(grid[0])
+    while i < points - 1:
         if a == 0.0:
             crossings.append(grid[i])
-            continue
+        k = i + 1 + int(np.count_nonzero(np.abs(grid[i + 1:] - grid[i]) < abs(a) / spec.n_sites))
+        if k == points:
+            break
+        b = splitting(grid[k])
         if a * b < 0.0:
-            lo, hi = grid[i], grid[i + 1]
+            lo, hi = grid[k - 1], grid[k]
             while hi - lo > CROSSING_TOL:
                 mid = 0.5 * (lo + hi)
                 if a * splitting(mid) < 0.0:
@@ -286,6 +340,7 @@ def parity_crossings(
                 else:
                     lo = mid
             crossings.append(0.5 * (lo + hi))
+        i, a = k, b
     return np.array(crossings)
 
 

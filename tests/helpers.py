@@ -213,3 +213,30 @@ def majorizes(lams_big, lams_small, tol=1e-10) -> bool:
     a = np.sort(np.asarray(lams_big))[::-1]
     b = np.sort(np.asarray(lams_small))[::-1]
     return bool(np.all(np.cumsum(b) <= np.cumsum(a) + tol))
+
+
+def free_fermion_sector_energy(n_sites, j_x, chi, h_z, parity) -> float:
+    """Lowest energy of one P_z sector of the transverse XY ring, for N >= 3.
+
+    Jordan-Wigner with sigma^z = 1 - 2 c^dag c turns the sector into a
+    quadratic fermion Hamiltonian (Lieb, Schultz and Mattis 1961): hopping A
+    and pairing B, with the boundary bond's sign flipped (antiperiodic
+    fermions) when the sector's fermion number is even.  With eps the
+    singular values of A - B its vacuum energy is Tr A / 2 - sum(eps) / 2;
+    the vacuum's fermion parity is that of det(A - B) > 0, and a sector of
+    the other parity occupies the lowest mode.  No exact diagonalization.
+    """
+    even_fermions = (parity == 1) == (n_sites % 2 == 0)
+    a = np.diag(np.full(n_sites, float(h_z)))
+    b = np.zeros((n_sites, n_sites))
+    for i in range(n_sites):
+        j = (i + 1) % n_sites
+        s = -1.0 if j == 0 and even_fermions else 1.0
+        a[i, j] = a[j, i] = -s * j_x * (1.0 + chi) / 4.0
+        b[i, j] = -s * j_x * (1.0 - chi) / 4.0
+        b[j, i] = -b[i, j]
+    eps = np.linalg.svd(a - b, compute_uv=False)
+    energy = -h_z * n_sites / 2.0 + np.trace(a) / 2.0 - eps.sum() / 2.0
+    if (np.linalg.det(a - b) > 0.0) != even_fermions:
+        energy += eps.min()
+    return float(energy)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import free_fermion_sector_energy
+from qcorr import spinchain
 from qcorr.deficit import quadratic_deficit_closed
 from qcorr.discord import discord
 from qcorr.entropy import concurrence
@@ -186,6 +188,28 @@ class TestParityCrossings:
         assert len(crossings) == 5
         assert abs(crossings[-1] - np.sqrt(0.5)) < 1e-4
 
+    def test_n8_crossings_unchanged(self):
+        # the full-basis scan without skipped points found these, bisected to CROSSING_TOL
+        spec = SpinChainSpec(n_sites=8, j_x=1.0, chi=0.5)
+        expected = [0.142590810129677, 0.4058818074242362, 0.606365997249213, 0.7071067811460001]
+        crossings = parity_crossings(spec, 0.0, 0.75, points=2000)
+        assert np.abs(crossings - expected).max() < spinchain.CROSSING_TOL
+
+    def test_scan_skips_certified_points(self, monkeypatch):
+        # two blocks a field: a full scan would take 4000 solves before any bisection
+        solves = []
+        solver = spinchain._lowest_levels
+
+        def counted(*args, **kwargs):
+            solves.append(args[0].shape)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(spinchain, "_lowest_levels", counted)
+        crossings = parity_crossings(SpinChainSpec(n_sites=8, j_x=1.0, chi=0.5), 0.0, 1.25, points=2000)
+        assert len(crossings) == 4
+        assert len(solves) < 2000
+        assert set(solves) == {(20, 20), (16, 16)}
+
     @pytest.mark.parametrize("n", [6, 8, 10])
     def test_crossings_bracket_a_sign_change(self, n):
         # the splitting changes sign within 1e-8 of every crossing, and the last one is h_zs
@@ -199,6 +223,82 @@ class TestParityCrossings:
                 signs.append(np.sign(e_even - e_odd))
             assert signs[0] * signs[1] == -1.0
         assert abs(crossings[-1] - np.sqrt(0.5)) < 1e-9
+
+
+class TestFreeFermionOracle:
+    """Exact diagonalization of the transverse ring against Jordan-Wigner fermions."""
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_sector_energies_match(self, n):
+        for chi in (0.2, 0.5, 0.9):
+            for h_z in (0.05, 0.45, 1.3):
+                spec = SpinChainSpec(n_sites=n, j_x=1.0, chi=chi, field=(0.0, 0.0, h_z))
+                for parity, energy in zip((1, -1), parity_sector_energies(spec)):
+                    assert abs(energy - free_fermion_sector_energy(n, 1.0, chi, h_z, parity)) < 1e-12
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_crossings_bracket_a_free_fermion_sign_change(self, n):
+        crossings = parity_crossings(SpinChainSpec(n_sites=n, j_x=1.0, chi=0.5), 1e-4, 0.75, points=120)
+        assert len(crossings) == n // 2
+        for h in crossings:
+            signs = [
+                np.sign(free_fermion_sector_energy(n, 1.0, 0.5, side, 1)
+                        - free_fermion_sector_energy(n, 1.0, 0.5, side, -1))
+                for side in (h - 1e-8, h + 1e-8)
+            ]
+            assert signs[0] * signs[1] == -1.0
+
+
+class TestSolveBasis:
+    @pytest.mark.parametrize(
+        "j_x, chi, field",
+        [
+            (-1.0, 0.5, (0.0, 0.0, 0.4)),
+            (-1.0, 0.5, (0.3, 0.0, 0.4)),
+            (1.0, 1.5, (0.0, 0.0, 0.4)),
+            (1.0, 0.5, (-0.3, 0.0, 0.4)),
+        ],
+        ids=["afm-transverse", "afm-tilted", "chi-1.5", "negative-h_x"],
+    )
+    def test_positive_off_diagonal_solves_the_full_basis(self, j_x, chi, field):
+        spec = SpinChainSpec(n_sites=6, j_x=j_x, chi=chi, field=field)
+        gs = ground_state(spec)
+        assert gs.amplitudes.size == 64
+        assert ground_state(spec).basis is gs.basis  # one identity, shared by every state
+        ham = build_hamiltonian(spec)
+        assert abs(gs.energy - np.linalg.eigvalsh(ham)[0]) < 1e-12
+        assert np.linalg.norm(ham @ gs.vector - gs.energy * gs.vector) < 1e-12
+
+    @pytest.mark.parametrize("field", [(0.0, 0.0, 0.4), (0.3, 0.0, 0.4)], ids=["transverse", "tilted"])
+    def test_stoquastic_chain_solves_momentum_zero(self, field):
+        # the 64 states of 6 sites fall into 14 translation orbits
+        gs = ground_state(SpinChainSpec(n_sites=6, j_x=1.0, chi=0.5, field=field))
+        assert gs.amplitudes.size == 14
+        assert gs.n_sites == 6
+
+    def test_n14_tilted_state_is_compact(self):
+        field = (np.sin(np.deg2rad(20.0)), 0.0, np.cos(np.deg2rad(20.0)))
+        gs = ground_state(SpinChainSpec(n_sites=14, j_x=1.0, chi=0.5, field=field))
+        assert gs.amplitudes.size == 1182
+        assert abs(np.linalg.norm(gs.vector) - 1.0) < 1e-12
+        assert [spinchain._basis(n, True).shape[1] for n in (8, 10, 12)] == [36, 108, 352]
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_tilted_second_level_lies_in_momentum_zero(self, n):
+        # the flag reads the two lowest momentum-zero levels; here they are the full spectrum's
+        for chi in (0.2, 0.5, 0.9):
+            for gamma in (0.5, 30.0, 89.5):
+                for h_mag in (0.05, 1.5):
+                    g = np.deg2rad(gamma)
+                    spec = SpinChainSpec(n, 1.0, chi, (h_mag * np.sin(g), 0.0, h_mag * np.cos(g)))
+                    h_sparse = spinchain._sparse_hamiltonian(spec)
+                    _, projected, _ = spinchain._projected(h_sparse, n)
+                    low = np.linalg.eigvalsh(projected.toarray())[:2]
+                    full = np.linalg.eigvalsh(h_sparse.toarray())[:2]
+                    assert np.abs(low - full).max() < 1e-12
+                    scale = np.abs(h_sparse).sum(axis=1).max()
+                    expected = full[1] - full[0] <= spinchain.DEGENERACY_RTOL * scale
+                    assert ground_state(spec).degenerate == expected
 
 
 class TestReducedPair:
