@@ -195,13 +195,18 @@ def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _basis(n: int, momentum_zero: bool) -> sp.csr_matrix:
     """The identity on N sites, or the isometry onto its translation-invariant states:
     column j is the normalized sum of the j-th translation orbit of basis states,
-    labelled by its least bit rotation.  Cached, so states of one size share it."""
-    if not momentum_zero:
-        return sp.identity(1 << n, format="csr")
-    idx = np.arange(1 << n)
-    rotations = [((idx << s) | (idx >> (n - s))) & ((1 << n) - 1) for s in range(n)]
-    _, orbit, size = np.unique(np.min(rotations, axis=0), return_inverse=True, return_counts=True)
-    return sp.csr_matrix((size[orbit] ** -0.5, (idx, orbit)), shape=(1 << n, size.size))
+    labelled by its least bit rotation.  Cached, so states of one size share it,
+    and read-only, so that no caller can change it under them."""
+    if momentum_zero:
+        idx = np.arange(1 << n)
+        rotations = [((idx << s) | (idx >> (n - s))) & ((1 << n) - 1) for s in range(n)]
+        _, orbit, size = np.unique(np.min(rotations, axis=0), return_inverse=True, return_counts=True)
+        basis = sp.csr_matrix((size[orbit] ** -0.5, (idx, orbit)), shape=(1 << n, size.size))
+    else:
+        basis = sp.identity(1 << n, format="csr")
+    for array in (basis.data, basis.indices, basis.indptr):
+        array.setflags(write=False)
+    return basis
 
 
 def _projected(h_sparse: sp.csr_matrix, n: int):
@@ -220,7 +225,7 @@ def _projected(h_sparse: sp.csr_matrix, n: int):
 
 
 def _lowest_levels(
-    mat: sp.csr_matrix | np.ndarray, k: int, vectors: bool = True
+    mat: sp.csr_matrix, k: int, vectors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Lowest ``k`` eigenvalues (ascending) of a real symmetric matrix and their
     eigenvectors, or None in their place when ``vectors`` is false.
@@ -231,8 +236,7 @@ def _lowest_levels(
     """
     dim = mat.shape[0]
     if dim <= DENSE_MAX_DIM:
-        dense = mat if isinstance(mat, np.ndarray) else mat.toarray()
-        out = scipy.linalg.eigh(dense, subset_by_index=(0, k - 1), eigvals_only=not vectors)
+        out = scipy.linalg.eigh(mat.toarray(), subset_by_index=(0, k - 1), eigvals_only=not vectors)
     else:
         # A fixed start vector keeps ARPACK, and so the sweep output, deterministic.
         v0 = np.random.default_rng(0).normal(size=dim)
@@ -299,25 +303,19 @@ def parity_crossings(
     upper end changes sign, against the sign at its lower end.  A sector's
     ground level has |dE/dh_z| <= N/2, so the grid points closer than |a| / N
     to a computed splitting a keep its sign and are skipped.  Each block of
-    ``V^T H V`` is assembled once without the field (as an ndarray up to
-    ``DENSE_MAX_DIM``), and the field diagonal ``(V o V)^T sum_i sigma^z_i``
-    (constant on each orbit) is added to its own at every scanned field.
+    ``V^T H V`` is assembled once without the field, and the field diagonal
+    ``(V o V)^T sum_i sigma^z_i`` (constant on each orbit) is added to its own
+    at every scanned field.
     """
     h_zero = _sparse_hamiltonian(replace(spec, field=(0.0, 0.0, 0.0)))
     basis, projected, sectors = _projected(h_zero, spec.n_sites)
     zsum = basis.multiply(basis).T @ (1.0 - 2.0 * _site_bits(spec.n_sites)).sum(axis=1)
-    blocks = []
-    for sel in sectors:
-        m = projected[sel][:, sel]
-        blocks.append((m.toarray() if m.shape[0] <= DENSE_MAX_DIM else m, m.diagonal(), zsum[sel]))
+    blocks = [(projected[sel][:, sel], projected.diagonal()[sel], zsum[sel]) for sel in sectors]
 
     def splitting(h_z: float) -> float:
         energies = []
         for block, diag, zs in blocks:
-            if isinstance(block, np.ndarray):
-                np.fill_diagonal(block, diag - 0.5 * h_z * zs)
-            else:
-                block = block + sp.diags(-0.5 * h_z * zs)
+            block.setdiag(diag - 0.5 * h_z * zs)
             energies.append(_lowest_levels(block, 1, vectors=False)[0][0])
         return energies[0] - energies[1]
 

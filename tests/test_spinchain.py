@@ -188,8 +188,11 @@ class TestParityCrossings:
         assert len(crossings) == 5
         assert abs(crossings[-1] - np.sqrt(0.5)) < 1e-4
 
-    def test_n8_crossings_unchanged(self):
-        # the full-basis scan without skipped points found these, bisected to CROSSING_TOL
+    @pytest.mark.parametrize("dense_max_dim", [spinchain.DENSE_MAX_DIM, 8], ids=["dense", "lanczos"])
+    def test_n8_crossings_unchanged(self, monkeypatch, dense_max_dim):
+        # the full-basis scan without skipped points found these, bisected to CROSSING_TOL;
+        # below 20 the N=8 parity blocks (20 and 16) go through Lanczos, as larger blocks do
+        monkeypatch.setattr(spinchain, "DENSE_MAX_DIM", dense_max_dim)
         spec = SpinChainSpec(n_sites=8, j_x=1.0, chi=0.5)
         expected = [0.142590810129677, 0.4058818074242362, 0.606365997249213, 0.7071067811460001]
         crossings = parity_crossings(spec, 0.0, 0.75, points=2000)
@@ -265,6 +268,7 @@ class TestSolveBasis:
         gs = ground_state(spec)
         assert gs.amplitudes.size == 64
         assert ground_state(spec).basis is gs.basis  # one identity, shared by every state
+        assert not any(a.flags.writeable for a in (gs.basis.data, gs.basis.indices, gs.basis.indptr))
         ham = build_hamiltonian(spec)
         assert abs(gs.energy - np.linalg.eigvalsh(ham)[0]) < 1e-12
         assert np.linalg.norm(ham @ gs.vector - gs.energy * gs.vector) < 1e-12
@@ -275,6 +279,7 @@ class TestSolveBasis:
         gs = ground_state(SpinChainSpec(n_sites=6, j_x=1.0, chi=0.5, field=field))
         assert gs.amplitudes.size == 14
         assert gs.n_sites == 6
+        assert not any(a.flags.writeable for a in (gs.basis.data, gs.basis.indices, gs.basis.indptr))
 
     def test_n14_tilted_state_is_compact(self):
         field = (np.sin(np.deg2rad(20.0)), 0.0, np.cos(np.deg2rad(20.0)))
