@@ -8,7 +8,10 @@ on the cyclic first-neighbor ring (site N is site 0; N = 2 has one bond)
 that every formula here assumes, with S^u = sigma^u / 2, a field h in the xz
 plane and J_y = chi * J_x.  H is solved in the span of the translation-orbit
 sums (momentum zero), which holds its ground level when J_x >= 0, |chi| <= 1
-and h_x >= 0, and in the full basis otherwise.  For a transverse field the
+and h_x >= 0, and in the full basis otherwise.  Either way the matrix is
+assembled directly in that basis, by applying H to one representative state
+of each translation orbit (singletons for the full basis), so no 2^N matrix
+stands behind a momentum-zero solve.  For a transverse field the
 z spin parity P_z = prod_i(-2 S_i^z) commutes with H, so diagonalization
 proceeds per parity block and parity crossings can be located exactly.  The
 last crossing sits at the transverse factorizing field h_zs = J_x sqrt(chi),
@@ -134,94 +137,103 @@ class PairObservables:
     measures: dict
 
 
-def _site_bits(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    shifts = n - 1 - np.arange(n)
-    return (idx[:, None] >> shifts[None, :]) & 1
+def _site_bits(states: np.ndarray, n: int) -> np.ndarray:
+    """Bit of each site (columns, site 0 first) in each of the given basis states."""
+    return (states[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
 
 
-def _sparse_hamiltonian(spec: SpinChainSpec) -> sp.csr_matrix:
-    n = spec.n_sites
+@dataclass(frozen=True)
+class _Orbits:
+    """Translation orbits of the 2^N basis states, or their singletons: each orbit's
+    least state (``reps``, ascending), the orbit of every state (``index``), the
+    states per orbit (``size``) and the isometry V onto the orbit sums (``basis``)."""
+
+    reps: np.ndarray
+    index: np.ndarray
+    size: np.ndarray
+    basis: sp.csr_matrix
+
+
+@lru_cache(maxsize=None)
+def _orbits(n: int, momentum_zero: bool) -> _Orbits:
+    """The orbits of N sites, singletons unless ``momentum_zero``.  Cached, so states
+    of one size share V, and read-only, so that no caller can change it under them."""
     if n > MAX_SITES:
         raise TooLarge(f"exact diagonalization capped at {MAX_SITES} sites, got {n}")
-    dim = 1 << n
-    h_x, _, h_z = spec.field
-    bits = _site_bits(n)
-    zvals = 1.0 - 2.0 * bits  # sigma_z eigenvalue per site
-    idx = np.arange(dim)
+    states = np.arange(1 << n)
+    shifts = range(n) if momentum_zero else [0]
+    rotations = [((states << s) | (states >> (n - s))) & ((1 << n) - 1) for s in shifts]
+    reps, index, size = np.unique(np.min(rotations, axis=0), return_inverse=True, return_counts=True)
+    basis = sp.csr_matrix((size[index] ** -0.5, (states, index)), shape=(1 << n, reps.size))
+    for array in (reps, index, size, basis.data, basis.indices, basis.indptr):
+        array.setflags(write=False)
+    return _Orbits(reps, index, size, basis)
 
-    rows, cols, vals = [], [], []
+
+def _matrix(spec: SpinChainSpec, orbits: _Orbits) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``V^T H V``, and the elements of H in its representative columns (row 0 the diagonal).
+
+    H is applied to each representative r_b.  Translations commute with H, so
+    ``<a|H|b> = sqrt(|O_b| / |O_a|) sum_{s in O_a} H_{s, r_b}``: each image is
+    mapped to its orbit and weighted, and duplicates are summed.  With
+    singleton orbits every weight is 1 and this is H itself.
+    """
+    n, states = spec.n_sites, orbits.reps
+    h_x, _, h_z = spec.field
+    zvals = 1.0 - 2.0 * _site_bits(states, n)  # sigma_z eigenvalue per site
     # Field along z: diagonal -h_z/2 * sum_i sigma_z.
-    diag = -0.5 * h_z * zvals.sum(axis=1)
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(diag)
+    images, values = [states], [-0.5 * h_z * zvals.sum(axis=1)]
     # Field along x: single bit flips, element -h_x/2.
     if h_x != 0.0:
         for i in range(n):
-            mask = 1 << (n - 1 - i)
-            rows.append(idx ^ mask)
-            cols.append(idx)
-            vals.append(np.full(dim, -0.5 * h_x))
+            images.append(states ^ (1 << (n - 1 - i)))
+            values.append(np.full(states.size, -0.5 * h_x))
     # Ring bonds (i, i + 1 mod N), of which N = 2 has one: double bit flips
     # with elements -Jx/4 + Jy z_i z_j / 4.
     for i in range(n if n > 2 else 1):
         j = (i + 1) % n
-        mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
-        zz = zvals[:, i] * zvals[:, j]
-        rows.append(idx ^ mask)
-        cols.append(idx)
-        vals.append(-0.25 * spec.j_x + 0.25 * (spec.chi * spec.j_x) * zz)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return mat.tocsr()
+        images.append(states ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j))))
+        values.append(-0.25 * spec.j_x + 0.25 * (spec.chi * spec.j_x) * (zvals[:, i] * zvals[:, j]))
+    rows, values = orbits.index[np.array(images)], np.array(values)
+    cols = np.broadcast_to(np.arange(states.size), rows.shape)
+    weighted = values * np.sqrt(orbits.size[cols] / orbits.size[rows])
+    mat = sp.coo_matrix((weighted.ravel(), (rows.ravel(), cols.ravel())), shape=(states.size,) * 2)
+    return mat.tocsr(), values
 
 
-def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
-    """Dense Hamiltonian matrix (real, since the field lies in the xz plane)."""
-    return _sparse_hamiltonian(spec).toarray()
-
-
-def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis-state indices of the even and odd P_z sectors."""
-    pops = _site_bits(n).sum(axis=1)
-    even = ((n + pops) % 2) == 0
-    return np.nonzero(even)[0], np.nonzero(~even)[0]
-
-
-@lru_cache(maxsize=None)
-def _basis(n: int, momentum_zero: bool) -> sp.csr_matrix:
-    """The identity on N sites, or the isometry onto its translation-invariant states:
-    column j is the normalized sum of the j-th translation orbit of basis states,
-    labelled by its least bit rotation.  Cached, so states of one size share it,
-    and read-only, so that no caller can change it under them."""
-    if momentum_zero:
-        idx = np.arange(1 << n)
-        rotations = [((idx << s) | (idx >> (n - s))) & ((1 << n) - 1) for s in range(n)]
-        _, orbit, size = np.unique(np.min(rotations, axis=0), return_inverse=True, return_counts=True)
-        basis = sp.csr_matrix((size[orbit] ** -0.5, (idx, orbit)), shape=(1 << n, size.size))
-    else:
-        basis = sp.identity(1 << n, format="csr")
-    for array in (basis.data, basis.indices, basis.indptr):
-        array.setflags(write=False)
-    return basis
-
-
-def _projected(h_sparse: sp.csr_matrix, n: int):
-    """The basis V chosen for a Hamiltonian, ``V^T H V``, and V's even and odd columns.
+def _assembled(spec: SpinChainSpec) -> tuple[_Orbits, sp.csr_matrix, float]:
+    """The orbits chosen for H, ``V^T H V``, and H's scale, its largest absolute row sum.
 
     V is the momentum-zero isometry when no off-diagonal element of H is
     positive, the identity otherwise.  Such an H is stoquastic: it and each
     parity block have a nonnegative ground vector (Perron-Frobenius), whose
     average over the translations, which commute with H and keep the parity,
-    lies in the span of the orbit sums.  A column's parity is the sign of ``V^T P_z``.
+    lies in the span of the orbit sums.  Translations map every column of H
+    onto a representative one, so those columns hold all of its elements and,
+    H being symmetric, its largest absolute row sum.
     """
-    basis = _basis(n, bool((h_sparse - sp.diags(h_sparse.diagonal())).max() <= 0.0))
-    parity = basis.T @ (-1.0) ** (n + _site_bits(n).sum(axis=1))
-    sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
-    return basis, (basis.T @ h_sparse @ basis).tocsr(), sectors
+    orbits = _orbits(spec.n_sites, True)
+    mat, values = _matrix(spec, orbits)
+    if values[1:].max() > 0.0:
+        orbits = _orbits(spec.n_sites, False)
+        mat, _ = _matrix(spec, orbits)
+    return orbits, mat, max(float(np.abs(values).sum(axis=0).max()), 1e-30)
+
+
+def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
+    """Dense Hamiltonian matrix (real, since the field lies in the xz plane)."""
+    return _matrix(spec, _orbits(spec.n_sites, False))[0].toarray()
+
+
+def _sectors(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the even and odd P_z states among the given basis states."""
+    even = (n + _site_bits(states, n).sum(axis=1)) % 2 == 0
+    return np.flatnonzero(even), np.flatnonzero(~even)
+
+
+def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis-state indices of the even and odd P_z sectors."""
+    return _sectors(np.arange(1 << n), n)
 
 
 def _lowest_levels(
@@ -246,51 +258,49 @@ def _lowest_levels(
     return w[order], None if v is None else v[:, order]
 
 
-def _sector_ground_states(h_sparse: sp.csr_matrix, n: int) -> tuple[GroundState, GroundState]:
-    """Lowest even- and odd-parity states of a transverse-field Hamiltonian."""
-    basis, projected, sectors = _projected(h_sparse, n)
+def _sector_ground_states(spec: SpinChainSpec) -> tuple[GroundState, GroundState, float]:
+    """Lowest even- and odd-parity states of a transverse-field Hamiltonian, and its scale."""
+    orbits, mat, scale = _assembled(spec)
     states = []
-    for parity, sel in zip((PARITY_EVEN, PARITY_ODD), sectors):
-        w, v = _lowest_levels(projected[sel][:, sel], 1)
-        amplitudes = np.zeros(basis.shape[1])
+    for parity, sel in zip((PARITY_EVEN, PARITY_ODD), _sectors(orbits.reps, spec.n_sites)):
+        w, v = _lowest_levels(mat[sel][:, sel], 1)
+        amplitudes = np.zeros(orbits.reps.size)
         amplitudes[sel] = v[:, 0]
-        states.append(GroundState(float(w[0]), amplitudes, basis, parity))
-    return states[0], states[1]
+        states.append(GroundState(float(w[0]), amplitudes, orbits.basis, parity))
+    return states[0], states[1], scale
 
 
 def ground_state(spec: SpinChainSpec) -> GroundState:
     """Exact ground state of the chain.
 
-    H is solved in the basis ``_projected`` chooses.  Transverse fields are
-    diagonalized per parity block; when the two block minima agree within
-    1e-10 of the Hamiltonian scale the state is flagged degenerate and both
-    definite-parity side limits are attached (even first).  Other fields
+    H is assembled and solved in the basis ``_assembled`` chooses.  Transverse
+    fields are diagonalized per parity block; when the two block minima agree
+    within 1e-10 of the Hamiltonian scale the state is flagged degenerate and
+    both definite-parity side limits are attached (even first).  Other fields
     break the symmetry: parity is marked broken, and ``degenerate`` reads the
     two lowest levels in that basis (a level outside it could only be a lower
     second one, and Perron-Frobenius keeps every such level above the ground
     level).  Every solve is dense up to ``DENSE_MAX_DIM``, Lanczos above.
     """
-    h_sparse = _sparse_hamiltonian(spec)
-    scale = max(float(np.abs(h_sparse).sum(axis=1).max()), 1e-30)
     if spec.transverse:
-        even, odd = _sector_ground_states(h_sparse, spec.n_sites)
+        even, odd, scale = _sector_ground_states(spec)
         lower = even if even.energy <= odd.energy else odd
         if abs(even.energy - odd.energy) > DEGENERACY_RTOL * scale:
             return lower
         side = (replace(even, degenerate=True), replace(odd, degenerate=True))
         return replace(lower, degenerate=True, side_limits=side)
-    basis, projected, _ = _projected(h_sparse, spec.n_sites)
-    w, v = _lowest_levels(projected, 2)
+    orbits, mat, scale = _assembled(spec)
+    w, v = _lowest_levels(mat, 2)
     degenerate = abs(w[1] - w[0]) <= DEGENERACY_RTOL * scale
     # A copy, so that the state does not keep the second eigenvector alive through a view.
-    return GroundState(float(w[0]), v[:, 0].copy(), basis, PARITY_BROKEN, degenerate=degenerate)
+    return GroundState(float(w[0]), v[:, 0].copy(), orbits.basis, PARITY_BROKEN, degenerate)
 
 
 def parity_sector_energies(spec: SpinChainSpec) -> tuple[float, float]:
     """Lowest energy in the even and odd parity sectors (transverse only)."""
     if not spec.transverse:
         raise UnsupportedGeometry("parity sectors require a transverse field")
-    even, odd = _sector_ground_states(_sparse_hamiltonian(spec), spec.n_sites)
+    even, odd, _ = _sector_ground_states(spec)
     return even.energy, odd.energy
 
 
@@ -303,13 +313,14 @@ def parity_crossings(
     upper end changes sign, against the sign at its lower end.  A sector's
     ground level has |dE/dh_z| <= N/2, so the grid points closer than |a| / N
     to a computed splitting a keep its sign and are skipped.  Each block of
-    ``V^T H V`` is assembled once without the field, and the field diagonal
-    ``(V o V)^T sum_i sigma^z_i`` (constant on each orbit) is added to its own
-    at every scanned field.
+    ``V^T H V`` is assembled once without the field, and the field diagonal,
+    ``sum_i sigma^z_i`` of each orbit's representative (constant on the
+    orbit), is added to its own at every scanned field.
     """
-    h_zero = _sparse_hamiltonian(replace(spec, field=(0.0, 0.0, 0.0)))
-    basis, projected, sectors = _projected(h_zero, spec.n_sites)
-    zsum = basis.multiply(basis).T @ (1.0 - 2.0 * _site_bits(spec.n_sites)).sum(axis=1)
+    n = spec.n_sites
+    orbits, projected, _ = _assembled(replace(spec, field=(0.0, 0.0, 0.0)))
+    zsum = (1.0 - 2.0 * _site_bits(orbits.reps, n)).sum(axis=1)
+    sectors = _sectors(orbits.reps, n)
     blocks = [(projected[sel][:, sel], projected.diagonal()[sel], zsum[sel]) for sel in sectors]
 
     def splitting(h_z: float) -> float:
@@ -325,7 +336,7 @@ def parity_crossings(
     while i < points - 1:
         if a == 0.0:
             crossings.append(grid[i])
-        k = i + 1 + int(np.count_nonzero(np.abs(grid[i + 1:] - grid[i]) < abs(a) / spec.n_sites))
+        k = i + 1 + int(np.count_nonzero(np.abs(grid[i + 1:] - grid[i]) < abs(a) / n))
         if k == points:
             break
         b = splitting(grid[k])
@@ -350,9 +361,10 @@ def _reduced_pair_from_vector(vector: np.ndarray, n: int, i: int, j: int) -> Den
     return make_density(psi @ psi.conj().T)
 
 
-def reduced_pair(gs: GroundState, i: int, j: int) -> DensityMatrix:
-    """Two-site reduced state of the ground vector at sites (i, j)."""
-    return _reduced_pair_from_vector(gs.vector, gs.n_sites, i, j)
+def reduced_pair(gs: GroundState, i: int, j: int, vector: np.ndarray | None = None) -> DensityMatrix:
+    """Two-site reduced state of the ground vector at sites (i, j); pass ``vector``
+    when ``gs.vector`` is expanded already (a sweep point does so once for all pairs)."""
+    return _reduced_pair_from_vector(gs.vector if vector is None else vector, gs.n_sites, i, j)
 
 
 def _h_s_magnitude(theta: float, h_zs: float, gamma: float) -> float:
@@ -460,7 +472,7 @@ def afm_map(spec: SpinChainSpec) -> tuple[SpinChainSpec, np.ndarray]:
         raise UnsupportedGeometry("sign map requires an even number of sites")
     if not spec.transverse:
         raise UnsupportedGeometry("sign map requires a transverse field")
-    bits = _site_bits(spec.n_sites)
+    bits = _site_bits(np.arange(1 << spec.n_sites), spec.n_sites)
     even_down = bits[:, 0::2].sum(axis=1)
     signs = np.where(even_down % 2 == 0, 1.0, -1.0)
     return replace(spec, j_x=-spec.j_x), signs

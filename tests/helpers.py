@@ -240,3 +240,39 @@ def free_fermion_sector_energy(n_sites, j_x, chi, h_z, parity) -> float:
     if (np.linalg.det(a - b) > 0.0) != even_fermions:
         energy += eps.min()
     return float(energy)
+
+
+def kron_hamiltonian(spec) -> np.ndarray:
+    """Dense chain Hamiltonian as a sum of Pauli strings built with ``np.kron``, for N <= 8.
+
+    H = - sum_i (h_x S^x_i + h_z S^z_i) - sum_bonds (J_x S^x S^x + J_y S^y S^y)
+    on the ring (one bond at N = 2), with S = sigma / 2 and site 0 the
+    leftmost factor.  Shares no code with the package's bit-flip assembly.
+    """
+    n = spec.n_sites
+    assert n <= 8, "the Kronecker oracle is dense: keep N <= 8"
+
+    def string(ops: dict) -> np.ndarray:
+        out = np.ones((1, 1), dtype=complex)
+        for site in range(n):
+            out = np.kron(out, ops.get(site, np.eye(2)))
+        return out
+
+    h_x, _, h_z = spec.field
+    j_y = spec.chi * spec.j_x
+    ham = np.zeros((1 << n, 1 << n), dtype=complex)
+    for i in range(n):
+        ham -= 0.5 * (h_x * string({i: _SX}) + h_z * string({i: _SZ}))
+    for i in range(n if n > 2 else 1):
+        j = (i + 1) % n
+        ham -= 0.25 * (spec.j_x * string({i: _SX, j: _SX}) + j_y * string({i: _SY, j: _SY}))
+    assert np.abs(ham.imag).max() == 0.0
+    return ham.real
+
+
+def kron_parity(n: int) -> np.ndarray:
+    """Diagonal of P_z = prod_i (-sigma^z_i) from ``np.kron``."""
+    out = np.ones(1)
+    for _ in range(n):
+        out = np.kron(out, -np.diag(_SZ).real)
+    return out

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import free_fermion_sector_energy
+from helpers import free_fermion_sector_energy, kron_hamiltonian, kron_parity
 from qcorr import spinchain
 from qcorr.deficit import quadratic_deficit_closed
 from qcorr.discord import discord
@@ -252,17 +254,22 @@ class TestFreeFermionOracle:
             assert signs[0] * signs[1] == -1.0
 
 
+#: Chains with a positive off-diagonal element, which are solved in the full basis.
+FULL_BASIS_CHAINS = {
+    "afm-transverse": (-1.0, 0.5, (0.0, 0.0, 0.4)),
+    "afm-tilted": (-1.0, 0.5, (0.3, 0.0, 0.4)),
+    "chi-1.5": (1.0, 1.5, (0.0, 0.0, 0.4)),
+    "negative-h_x": (1.0, 0.5, (-0.3, 0.0, 0.4)),
+}
+ORACLE_CHAINS = {
+    "transverse": (1.0, 0.5, (0.0, 0.0, 0.4)),
+    "tilted": (1.0, 0.5, (0.3, 0.0, 0.4)),
+    **FULL_BASIS_CHAINS,
+}
+
+
 class TestSolveBasis:
-    @pytest.mark.parametrize(
-        "j_x, chi, field",
-        [
-            (-1.0, 0.5, (0.0, 0.0, 0.4)),
-            (-1.0, 0.5, (0.3, 0.0, 0.4)),
-            (1.0, 1.5, (0.0, 0.0, 0.4)),
-            (1.0, 0.5, (-0.3, 0.0, 0.4)),
-        ],
-        ids=["afm-transverse", "afm-tilted", "chi-1.5", "negative-h_x"],
-    )
+    @pytest.mark.parametrize("j_x, chi, field", FULL_BASIS_CHAINS.values(), ids=FULL_BASIS_CHAINS.keys())
     def test_positive_off_diagonal_solves_the_full_basis(self, j_x, chi, field):
         spec = SpinChainSpec(n_sites=6, j_x=j_x, chi=chi, field=field)
         gs = ground_state(spec)
@@ -286,7 +293,34 @@ class TestSolveBasis:
         gs = ground_state(SpinChainSpec(n_sites=14, j_x=1.0, chi=0.5, field=field))
         assert gs.amplitudes.size == 1182
         assert abs(np.linalg.norm(gs.vector) - 1.0) < 1e-12
-        assert [spinchain._basis(n, True).shape[1] for n in (8, 10, 12)] == [36, 108, 352]
+        assert [spinchain._orbits(n, True).reps.size for n in (8, 10, 12)] == [36, 108, 352]
+
+    def test_n14_tilted_solve_allocates_little(self):
+        # assembling the 2^N matrix and projecting it peaked at about 24 MB
+        field = (np.sin(np.deg2rad(20.0)), 0.0, np.cos(np.deg2rad(20.0)))
+        tracemalloc.start()
+        try:
+            ground_state(SpinChainSpec(n_sites=14, j_x=1.0, chi=0.5, field=field))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("j_x, chi, field", ORACLE_CHAINS.values(), ids=ORACLE_CHAINS.keys())
+    def test_assembly_matches_kronecker_oracle(self, n, j_x, chi, field):
+        spec = SpinChainSpec(n, j_x, chi, field)
+        ham = kron_hamiltonian(spec)
+        orbits, projected, scale = spinchain._assembled(spec)
+        basis = orbits.basis.toarray()
+        stoquastic = (ham - np.diag(np.diag(ham))).max() <= 0.0
+        assert orbits is spinchain._orbits(n, stoquastic)
+        assert np.abs(projected.toarray() - basis.T @ ham @ basis).max() <= 1e-14
+        assert abs(scale - np.abs(ham).sum(axis=1).max()) <= 1e-14 * scale
+        even, odd = spinchain._sectors(orbits.reps, n)
+        signs = np.sign(basis.T @ kron_parity(n))
+        assert even.size + odd.size == basis.shape[1]
+        assert (signs[even] == 1.0).all() and (signs[odd] == -1.0).all()
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_tilted_second_level_lies_in_momentum_zero(self, n):
@@ -296,12 +330,12 @@ class TestSolveBasis:
                 for h_mag in (0.05, 1.5):
                     g = np.deg2rad(gamma)
                     spec = SpinChainSpec(n, 1.0, chi, (h_mag * np.sin(g), 0.0, h_mag * np.cos(g)))
-                    h_sparse = spinchain._sparse_hamiltonian(spec)
-                    _, projected, _ = spinchain._projected(h_sparse, n)
+                    ham = kron_hamiltonian(spec)
+                    _, projected, _ = spinchain._assembled(spec)
                     low = np.linalg.eigvalsh(projected.toarray())[:2]
-                    full = np.linalg.eigvalsh(h_sparse.toarray())[:2]
+                    full = np.linalg.eigvalsh(ham)[:2]
                     assert np.abs(low - full).max() < 1e-12
-                    scale = np.abs(h_sparse).sum(axis=1).max()
+                    scale = np.abs(ham).sum(axis=1).max()
                     expected = full[1] - full[0] <= spinchain.DEGENERACY_RTOL * scale
                     assert ground_state(spec).degenerate == expected
 
