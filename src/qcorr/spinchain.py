@@ -13,8 +13,11 @@ assembled directly in that basis, by applying H to one representative state
 of each translation orbit (singletons for the full basis), so no 2^N matrix
 stands behind a momentum-zero solve.  For a transverse field the
 z spin parity P_z = prod_i(-2 S_i^z) commutes with H, so diagonalization
-proceeds per parity block and parity crossings can be located exactly.  The
-last crossing sits at the transverse factorizing field h_zs = J_x sqrt(chi),
+proceeds per parity block.  Each block is also a quadratic fermion problem
+after a Jordan-Wigner transformation, and the crossing scan takes the two
+sector energies from that solution, with no eigensolve; the block
+diagonalization is the oracle it is tested against.  The last crossing sits
+at the transverse factorizing field h_zs = J_x sqrt(chi),
 where two completely separable ground states with per-site cant angle theta
 (cos theta = sqrt(chi)) become degenerate; a field tilted by gamma < theta
 from the z axis instead admits a single separable ground state at the
@@ -236,26 +239,21 @@ def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _sectors(np.arange(1 << n), n)
 
 
-def _lowest_levels(
-    mat: sp.csr_matrix, k: int, vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Lowest ``k`` eigenvalues (ascending) of a real symmetric matrix and their
-    eigenvectors, or None in their place when ``vectors`` is false.
+def _lowest_levels(mat: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``k`` eigenvalues (ascending) of a real symmetric matrix and their eigenvectors.
 
     Every eigensolve of the chain goes through here: dense LAPACK up to
-    ``DENSE_MAX_DIM``, Lanczos (ARPACK) above it.  The crossing scan needs no
-    vectors, and skipping them saves about 15% of its dense solve time.
+    ``DENSE_MAX_DIM``, Lanczos (ARPACK) above it.
     """
     dim = mat.shape[0]
     if dim <= DENSE_MAX_DIM:
-        out = scipy.linalg.eigh(mat.toarray(), subset_by_index=(0, k - 1), eigvals_only=not vectors)
+        w, v = scipy.linalg.eigh(mat.toarray(), subset_by_index=(0, k - 1))
     else:
         # A fixed start vector keeps ARPACK, and so the sweep output, deterministic.
         v0 = np.random.default_rng(0).normal(size=dim)
-        out = sp.linalg.eigsh(mat, k=k, which="SA", v0=v0, return_eigenvectors=vectors)
-    w, v = out if vectors else (out, None)
+        w, v = sp.linalg.eigsh(mat, k=k, which="SA", v0=v0)
     order = np.argsort(w)
-    return w[order], None if v is None else v[:, order]
+    return w[order], v[:, order]
 
 
 def _sector_ground_states(spec: SpinChainSpec) -> tuple[GroundState, GroundState, float]:
@@ -304,53 +302,55 @@ def parity_sector_energies(spec: SpinChainSpec) -> tuple[float, float]:
     return even.energy, odd.energy
 
 
+def _sector_splitting(spec: SpinChainSpec, fields: np.ndarray) -> np.ndarray:
+    """E_even - E_odd of the transverse ring at each field, from Jordan-Wigner fermions.
+
+    With sigma^z = 1 - 2 c^dag c each P_z sector is a quadratic fermion
+    Hamiltonian (Lieb, Schultz and Mattis 1961) on ``_matrix``'s bonds, the
+    wrap bond's sign flipped when the sector's fermion number is even.  Its
+    hopping A and pairing B enter through ``M = h_z I + A0 - B``, with
+    ``M[i, j] = -s J_y / 2`` and ``M[j, i] = -s J_x / 2`` on bond (i, j).
+    With eps the singular values of M the vacuum energy is ``-sum(eps) / 2``;
+    it has the fermion parity of ``det M > 0``, and a sector of the other
+    parity occupies the lowest mode.  No eigensolve: one stacked SVD a sector.
+    """
+    n = spec.n_sites
+    energies = []
+    for parity in (PARITY_EVEN, PARITY_ODD):
+        even_fermions = (parity == PARITY_EVEN) == (n % 2 == 0)
+        m = np.zeros((n, n))
+        for i in range(n if n > 2 else 1):
+            j = (i + 1) % n
+            s = -1.0 if j == 0 and even_fermions else 1.0
+            m[i, j], m[j, i] = -0.5 * s * spec.chi * spec.j_x, -0.5 * s * spec.j_x
+        mats = fields[:, None, None] * np.eye(n) + m
+        eps = np.linalg.svd(mats, compute_uv=False)
+        wrong_parity = (np.linalg.det(mats) > 0.0) != even_fermions
+        energies.append(-0.5 * eps.sum(axis=1) + np.where(wrong_parity, eps[:, -1], 0.0))
+    return energies[0] - energies[1]
+
+
 def parity_crossings(
     spec: SpinChainSpec, h_min: float, h_max: float, points: int = 2000
 ) -> np.ndarray:
     """Transverse fields where the parity-sector ground levels cross.
 
-    Scans the energy splitting on a uniform grid and bisects each cell whose
-    upper end changes sign, against the sign at its lower end.  A sector's
-    ground level has |dE/dh_z| <= N/2, so the grid points closer than |a| / N
-    to a computed splitting a keep its sign and are skipped.  Each block of
-    ``V^T H V`` is assembled once without the field, and the field diagonal,
-    ``sum_i sigma^z_i`` of each orbit's representative (constant on the
-    orbit), is added to its own at every scanned field.
+    Evaluates the energy splitting on a uniform grid from Jordan-Wigner
+    fermions (``_sector_splitting``), records grid points where it is exactly
+    zero, and bisects every cell whose upper end changes sign against its
+    lower end, all cells together, to ``CROSSING_TOL``.  ``spec.field`` is
+    ignored.  The ED sector energies (``parity_sector_energies``) are the
+    oracle this scan is tested against.
     """
-    n = spec.n_sites
-    orbits, projected, _ = _assembled(replace(spec, field=(0.0, 0.0, 0.0)))
-    zsum = (1.0 - 2.0 * _site_bits(orbits.reps, n)).sum(axis=1)
-    sectors = _sectors(orbits.reps, n)
-    blocks = [(projected[sel][:, sel], projected.diagonal()[sel], zsum[sel]) for sel in sectors]
-
-    def splitting(h_z: float) -> float:
-        energies = []
-        for block, diag, zs in blocks:
-            block.setdiag(diag - 0.5 * h_z * zs)
-            energies.append(_lowest_levels(block, 1, vectors=False)[0][0])
-        return energies[0] - energies[1]
-
     grid = np.linspace(h_min, h_max, points)
-    crossings = []
-    i, a = 0, splitting(grid[0])
-    while i < points - 1:
-        if a == 0.0:
-            crossings.append(grid[i])
-        k = i + 1 + int(np.count_nonzero(np.abs(grid[i + 1:] - grid[i]) < abs(a) / n))
-        if k == points:
-            break
-        b = splitting(grid[k])
-        if a * b < 0.0:
-            lo, hi = grid[k - 1], grid[k]
-            while hi - lo > CROSSING_TOL:
-                mid = 0.5 * (lo + hi)
-                if a * splitting(mid) < 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            crossings.append(0.5 * (lo + hi))
-        i, a = k, b
-    return np.array(crossings)
+    split = _sector_splitting(spec, grid)
+    cells = np.flatnonzero(split[:-1] * split[1:] < 0.0)
+    lo, hi, sign = grid[cells], grid[cells + 1], split[cells]
+    while (open_ := hi - lo > CROSSING_TOL).any():
+        mid = 0.5 * (lo + hi)
+        below = sign * _sector_splitting(spec, mid) < 0.0
+        hi, lo = np.where(open_ & below, mid, hi), np.where(open_ & ~below, mid, lo)
+    return np.sort(np.concatenate([grid[:-1][split[:-1] == 0.0], 0.5 * (lo + hi)]))
 
 
 def _reduced_pair_from_vector(vector: np.ndarray, n: int, i: int, j: int) -> DensityMatrix:

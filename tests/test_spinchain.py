@@ -200,22 +200,16 @@ class TestParityCrossings:
         crossings = parity_crossings(spec, 0.0, 0.75, points=2000)
         assert np.abs(crossings - expected).max() < spinchain.CROSSING_TOL
 
-    def test_scan_skips_certified_points(self, monkeypatch):
-        # two blocks a field: a full scan would take 4000 solves before any bisection
-        solves = []
-        solver = spinchain._lowest_levels
+    def test_scan_runs_no_eigensolve(self, monkeypatch):
+        # the scan takes its sector energies from Jordan-Wigner fermions, not from ED
+        def refused(*args, **kwargs):
+            raise AssertionError("the crossing scan ran an eigensolve")
 
-        def counted(*args, **kwargs):
-            solves.append(args[0].shape)
-            return solver(*args, **kwargs)
-
-        monkeypatch.setattr(spinchain, "_lowest_levels", counted)
+        monkeypatch.setattr(spinchain, "_lowest_levels", refused)
         crossings = parity_crossings(SpinChainSpec(n_sites=8, j_x=1.0, chi=0.5), 0.0, 1.25, points=2000)
         assert len(crossings) == 4
-        assert len(solves) < 2000
-        assert set(solves) == {(20, 20), (16, 16)}
 
-    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
     def test_crossings_bracket_a_sign_change(self, n):
         # the splitting changes sign within 1e-8 of every crossing, and the last one is h_zs
         spec = SpinChainSpec(n_sites=n, j_x=1.0, chi=0.5)
@@ -228,6 +222,41 @@ class TestParityCrossings:
                 signs.append(np.sign(e_even - e_odd))
             assert signs[0] * signs[1] == -1.0
         assert abs(crossings[-1] - np.sqrt(0.5)) < 1e-9
+
+
+def ed_splitting(spec, h_z) -> float:
+    """E_even - E_odd from the exact diagonalization of the parity blocks."""
+    e_even, e_odd = parity_sector_energies(SpinChainSpec(spec.n_sites, spec.j_x, spec.chi, (0.0, 0.0, h_z)))
+    return e_even - e_odd
+
+
+#: (N, j_x, chi, first field) of scans across the domain of parity_crossings;
+#: odd N starts off zero field, where spin flip makes the two sectors degenerate.
+CROSSING_DOMAIN = {
+    "n2-one-bond": (2, 1.0, 0.5, 1e-4),
+    "n3": (3, 1.0, 0.5, 1e-4),
+    "n5": (5, 1.0, 0.5, 1e-4),
+    "n7": (7, 1.0, 0.5, 1e-4),
+    "afm": (6, -1.0, 0.5, 1e-4),
+    "chi-negative": (6, 1.0, -0.5, 1e-4),
+    "chi-1": (6, 1.0, 1.0, 1e-4),
+    "chi-1.5": (6, 1.0, 1.5, 1e-4),
+    "zero-field-start": (6, 1.0, 0.5, 0.0),
+}
+
+
+class TestCrossingDomain:
+    """The Jordan-Wigner scan against the ED sector energies on every kind of chain it accepts."""
+
+    @pytest.mark.parametrize("n, j_x, chi, h_min", CROSSING_DOMAIN.values(), ids=CROSSING_DOMAIN.keys())
+    def test_crossings_match_ed_sign_changes(self, n, j_x, chi, h_min):
+        spec = SpinChainSpec(n_sites=n, j_x=j_x, chi=chi)
+        grid = np.linspace(h_min, 1.5, 100)
+        crossings = parity_crossings(spec, h_min, 1.5, points=100)
+        ed = np.array([ed_splitting(spec, h) for h in grid])
+        assert len(crossings) == np.count_nonzero(ed[:-1] * ed[1:] < 0.0)
+        for h in crossings:
+            assert ed_splitting(spec, h - 1e-8) * ed_splitting(spec, h + 1e-8) < 0.0
 
 
 class TestFreeFermionOracle:
