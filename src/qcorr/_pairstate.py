@@ -19,6 +19,7 @@ import numpy as np
 
 from ._sphere import is_sphere_grid
 from .entropy import (
+    _LOG_FLOOR,
     FAMILY_RENYI,
     FAMILY_VON_NEUMANN,
     EntropyFunctional,
@@ -27,10 +28,9 @@ from .entropy import (
 )
 from .errors import UnsupportedFamily
 from .measurement import PROB_FLOOR, MeasurementDirection, projector
-from .statekit import PAULI, BipartiteLayout, DensityMatrix, bloch_decompose
+from .statekit import BipartiteLayout, DensityMatrix, bloch_decompose
 
 _2D = np.newaxis
-_LOG_FLOOR = 1e-300
 _SIGNS = np.array([[1.0], [-1.0]])
 #: Largest |Im rho| (reality) and sigma_z x sigma_z-odd entry (parity) of a symmetric state.
 SYMMETRY_TOL = 1e-12
@@ -41,7 +41,7 @@ class PairContext:
     """Precomputed tensors of one state, reused across many directions.
 
     ``dec`` is the state's one :func:`~qcorr.statekit.bloch_decompose`, reduced
-    states included; a qudit A also keeps ``t_ops[n] = Tr_B[rho (I x sigma_n)]``.
+    states and ``t_ops`` included.
     ``results`` keeps the state's finished results, returned as they are when
     asked again (see :func:`qcorr.discord._optimize`).
     """
@@ -55,9 +55,6 @@ class PairContext:
         self.joint_spectrum = np.linalg.eigvalsh(rho.entries)
         if self.d_a == 2:
             self.mixedness = 4.0 * np.linalg.det(self.dec.rho_a).real  # 1 - |r_a|^2
-        else:
-            four = rho.entries.reshape(layout.d_a, 2, layout.d_a, 2)
-            self.t_ops = np.einsum("aibj,nji->nab", four, PAULI)
         self.real = np.abs(rho.entries.imag).max() <= SYMMETRY_TOL
         self.parity = self.d_a == 2 and np.abs(rho.entries[_ODD]).max() <= SYMMETRY_TOL
         # Symmetries of every objective: even in k_y if real, and in k_x too if also parity-even.
@@ -78,7 +75,7 @@ class PairContext:
             two_p = np.maximum(1.0 + _SIGNS * np.einsum("n,mn->m", self.r_b, ks), 0.0)
             probs = np.ascontiguousarray(0.5 * two_p.T)
             # summed in order, not by BLAS, so that a direction gets the same bits in any batch
-            delta = sum(ks[:, n, _2D, _2D] * self.t_ops[n] for n in range(3))
+            delta = sum(ks[:, n, _2D, _2D] * self.dec.t_ops[n] for n in range(3))
             lams = np.linalg.eigvalsh(0.5 * (self.dec.rho_a + _SIGNS[:, :, _2D] * delta[:, _2D]))
         if is_sphere_grid(dirs):
             self._grid = (dirs, (probs, lams))
@@ -196,12 +193,11 @@ def stationarity_residual(
         raise ValueError(f"mode must be 'deficit' or 'discord', got {mode!r}")
     if mode == "discord" and functional.family != FAMILY_VON_NEUMANN:
         raise UnsupportedFamily("discord-mode residual is defined for the von Neumann family")
-    layout.check(rho)
-    return stationarity_residuals([rho], [k], [functional], [mode])[0]
+    return stationarity_residuals([pair_context(rho, layout)], [k], [functional], [mode])[0]
 
 
-def stationarity_residuals(rhos, ks, functionals, modes) -> list:
-    """Unvalidated :func:`stationarity_residual` of states of one layout, as one batch.
+def stationarity_residuals(ctxs, ks, functionals, modes) -> list:
+    """Unvalidated :func:`stationarity_residual` of the contexts' states (one layout), as one batch.
 
     A state whose mode is None gets None.
     """
@@ -209,7 +205,7 @@ def stationarity_residuals(rhos, ks, functionals, modes) -> list:
     out = [None] * len(modes)
     if not take:
         return out
-    rho = np.array([rhos[i].entries for i in take])
+    rho = np.array([ctxs[i].rho.entries for i in take])
     four = rho.reshape(len(take), -1, 2, rho.shape[1] // 2, 2)
     plus = np.array([projector(ks[i]) for i in take])
     projs = np.stack([plus, np.eye(2) - plus], 1)
@@ -221,7 +217,7 @@ def stationarity_residuals(rhos, ks, functionals, modes) -> list:
     reduced = np.einsum("naiaj->nij", comm.reshape(four.shape))
     discord = np.array([modes[i] == "discord" for i in take])
     if discord.any():
-        rho_b = np.einsum("naiaj->nij", four)
+        rho_b = np.array([ctxs[i].dec.rho_b for i in take])
         log_b = np.einsum("ns,nsij->nij", np.log2(np.clip(lams.sum(-1), _LOG_FLOOR, None)), projs)
         reduced = reduced + discord[:, _2D, _2D] * (log_b @ rho_b - rho_b @ log_b)
     for i, norm in zip(take, np.linalg.norm(reduced, axis=(1, 2))):

@@ -31,21 +31,17 @@ _STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=floa
 _CENTRE = 4
 
 
-def sphere_grid(grid_theta: int, grid_phi: int) -> np.ndarray:
-    """Upper-hemisphere direction grid, shape (M, 3), poles included."""
-    return folded_grid(grid_theta, grid_phi)[0]
-
-
 def folded_grid(grid_theta: int, grid_phi: int, fold: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit representatives of :func:`sphere_grid` and the map onto them.
+    """Orbit representatives of the upper-hemisphere grid and the map onto them.
 
-    ``fold`` 1 identifies phi with -phi (an objective even in k_y), and 2
-    also with phi + pi (even in (k_x, k_y) too), leaving phi in [0, pi] or
-    [0, pi/2]; the half turn maps grid columns onto columns only for even
-    ``grid_phi``, so odd ones fold by the mirror alone.  A folded grid counts
-    the pole once.  Returns the representative directions (rows of
-    :func:`sphere_grid`) and, for every full-grid point, its row among them;
-    both arrays are shared and read-only.
+    The grid has ``grid_theta + 1`` rings, pole to equator, of ``grid_phi``
+    directions; ``fold`` 0 keeps it whole.  ``fold`` 1 identifies phi with
+    -phi (an objective even in k_y), and 2 also with phi + pi (even in
+    (k_x, k_y) too), leaving phi in [0, pi] or [0, pi/2]; the half turn maps
+    grid columns onto columns only for even ``grid_phi``, so odd ones fold by
+    the mirror alone.  A folded grid counts the pole once.  Returns the
+    representative directions (rows of the full grid) and, for every
+    full-grid point, its row among them; both arrays are shared and read-only.
     """
     fold = 1 if fold == 2 and grid_phi % 2 else fold
     key = (grid_theta, grid_phi, fold)
@@ -74,7 +70,7 @@ def is_sphere_grid(dirs) -> bool:
 
 
 def grid_minima(values: np.ndarray, grid_theta: int, grid_phi: int) -> np.ndarray:
-    """Indices of the local minima of values on :func:`sphere_grid`, lowest first.
+    """Indices of the local minima of values on the full :func:`folded_grid`, lowest first.
 
     A point is a minimum if none of its eight grid neighbours is lower.
     Neighbours across the pole, and across the equator (where k and -k are

@@ -201,8 +201,8 @@ def _optimize(jobs, cfg: SearchConfig | None = None) -> list[OptimizationResult]
             rows.append((value, ctx.canonical(k), GRID_REFINE, mode))
     rows += [measure(ctx) for ctx, measure, _, _ in new[len(searches):]]
     kds = [MeasurementDirection(row[1]) for row in rows]
-    rhos, functionals, modes = [j[0].rho for j in new], [j[2] for j in new], [r[3] for r in rows]
-    residuals = stationarity_residuals(rhos, kds, functionals, modes)
+    ctxs, functionals, modes = [j[0] for j in new], [j[2] for j in new], [r[3] for r in rows]
+    residuals = stationarity_residuals(ctxs, kds, functionals, modes)
     for (ctx, _, _, key), (value, _, method, _), kd, res in zip(new, rows, kds, residuals):
         ctx.results[key] = OptimizationResult(float(value), kd, method, res)
     return [ctx.results[key] for ctx, _, _, key in keyed]

@@ -7,13 +7,14 @@ The Hamiltonian is
 on the cyclic first-neighbor ring (site N is site 0; N = 2 has one bond)
 that every formula here assumes, with S^u = sigma^u / 2, a field h in the xz
 plane and J_y = chi * J_x.  H is solved in the span of the translation-orbit
-sums (momentum zero), which holds its ground level when J_x >= 0, |chi| <= 1
-and h_x >= 0, and in the full basis otherwise.  Either way the matrix is
-assembled directly in that basis, by applying H to one representative state
-of each translation orbit (singletons for the full basis), so no 2^N matrix
-stands behind a momentum-zero solve.  For a transverse field the
-z spin parity P_z = prod_i(-2 S_i^z) commutes with H, so diagonalization
-proceeds per parity block.  Each block is also a quadratic fermion problem
+sums (momentum zero), which holds its ground level when H is stoquastic
+((J_x = 0 or J_x > 0 and |chi| <= 1) and h_x >= 0), and in the full basis
+otherwise.  Either way the matrix is assembled directly in that basis, by
+applying H to one representative state of each translation orbit
+(singletons for the full basis), so no 2^N matrix stands behind a
+momentum-zero solve.  For a transverse field the z spin parity
+P_z = prod_i(-2 S_i^z) commutes with H, so diagonalization proceeds per
+parity block.  Each block is also a quadratic fermion problem
 after a Jordan-Wigner transformation, and the crossing scan takes the two
 sector energies from that solution, with no eigensolve; the block
 diagonalization is the oracle it is tested against.  The last crossing sits
@@ -84,8 +85,8 @@ class SpinChainSpec:
 class GroundState:
     """Ground level of a chain: energy, amplitudes, and parity bookkeeping.
 
-    ``vector = basis @ amplitudes``, with ``basis`` the orthonormal basis the
-    chain was solved in (the shared momentum-zero orbit sums, or the identity).
+    ``amplitudes`` has one entry per orbit of ``orbits``, the shared orbit table
+    the chain was solved on, and ``vector`` is their gather ``V @ amplitudes``.
     ``parity`` is +1 or -1 for transverse fields and 0 when the field breaks
     the symmetry.  At a parity crossing ``degenerate`` is set and
     ``side_limits`` carries the even- and odd-parity states whose reduced
@@ -94,7 +95,7 @@ class GroundState:
 
     energy: float
     amplitudes: np.ndarray
-    basis: sp.csr_matrix
+    orbits: _Orbits
     parity: int
     degenerate: bool = False
     side_limits: tuple["GroundState", "GroundState"] | None = None
@@ -104,11 +105,11 @@ class GroundState:
 
     @property
     def vector(self) -> np.ndarray:
-        return self.basis @ self.amplitudes
+        return self.amplitudes[self.orbits.index] * self.orbits.weight
 
     @property
     def n_sites(self) -> int:
-        return int(np.log2(self.basis.shape[0]) + 0.5)
+        return int(np.log2(self.orbits.index.size) + 0.5)
 
     @property
     def parity_label(self) -> str:
@@ -149,28 +150,29 @@ def _site_bits(states: np.ndarray, n: int) -> np.ndarray:
 class _Orbits:
     """Translation orbits of the 2^N basis states, or their singletons: each orbit's
     least state (``reps``, ascending), the orbit of every state (``index``), the
-    states per orbit (``size``) and the isometry V onto the orbit sums (``basis``)."""
+    states per orbit (``size``) and each state's weight ``|O|^-1/2`` in the isometry
+    V onto the normalized orbit sums (``weight``), so ``V @ x = x[index] * weight``."""
 
     reps: np.ndarray
     index: np.ndarray
     size: np.ndarray
-    basis: sp.csr_matrix
+    weight: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _orbits(n: int, momentum_zero: bool) -> _Orbits:
     """The orbits of N sites, singletons unless ``momentum_zero``.  Cached, so states
-    of one size share V, and read-only, so that no caller can change it under them."""
+    of one size share the table, and read-only, so that no caller can change it under them."""
     if n > MAX_SITES:
         raise TooLarge(f"exact diagonalization capped at {MAX_SITES} sites, got {n}")
     states = np.arange(1 << n)
     shifts = range(n) if momentum_zero else [0]
     rotations = [((states << s) | (states >> (n - s))) & ((1 << n) - 1) for s in shifts]
     reps, index, size = np.unique(np.min(rotations, axis=0), return_inverse=True, return_counts=True)
-    basis = sp.csr_matrix((size[index] ** -0.5, (states, index)), shape=(1 << n, reps.size))
-    for array in (reps, index, size, basis.data, basis.indices, basis.indptr):
+    weight = size[index] ** -0.5
+    for array in (reps, index, size, weight):
         array.setflags(write=False)
-    return _Orbits(reps, index, size, basis)
+    return _Orbits(reps, index, size, weight)
 
 
 def _matrix(spec: SpinChainSpec, orbits: _Orbits) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -208,18 +210,18 @@ def _assembled(spec: SpinChainSpec) -> tuple[_Orbits, sp.csr_matrix, float]:
     """The orbits chosen for H, ``V^T H V``, and H's scale, its largest absolute row sum.
 
     V is the momentum-zero isometry when no off-diagonal element of H is
-    positive, the identity otherwise.  Such an H is stoquastic: it and each
-    parity block have a nonnegative ground vector (Perron-Frobenius), whose
-    average over the translations, which commute with H and keep the parity,
-    lies in the span of the orbit sums.  Translations map every column of H
-    onto a representative one, so those columns hold all of its elements and,
-    H being symmetric, its largest absolute row sum.
+    positive, the identity otherwise.  Those elements, ``-J_x (1 -/+ chi) / 4``
+    on the bonds (equal and unequal bits) and ``-h_x / 2``, keep their signs
+    when rounded.  Such an H is stoquastic: it and each parity block have a
+    nonnegative ground vector (Perron-Frobenius), whose average over the
+    translations, which commute with H and keep the parity, lies in the span
+    of the orbit sums.  The columns of H at the chosen representatives hold
+    all of its elements and, H being symmetric, its largest absolute row sum.
     """
-    orbits = _orbits(spec.n_sites, True)
+    j_x, chi, h_x = spec.j_x, spec.chi, spec.field[0]
+    stoquastic = (j_x == 0.0 or (j_x > 0.0 and abs(chi) <= 1.0)) and h_x >= 0.0
+    orbits = _orbits(spec.n_sites, stoquastic)
     mat, values = _matrix(spec, orbits)
-    if values[1:].max() > 0.0:
-        orbits = _orbits(spec.n_sites, False)
-        mat, _ = _matrix(spec, orbits)
     return orbits, mat, max(float(np.abs(values).sum(axis=0).max()), 1e-30)
 
 
@@ -264,7 +266,7 @@ def _sector_ground_states(spec: SpinChainSpec) -> tuple[GroundState, GroundState
         w, v = _lowest_levels(mat[sel][:, sel], 1)
         amplitudes = np.zeros(orbits.reps.size)
         amplitudes[sel] = v[:, 0]
-        states.append(GroundState(float(w[0]), amplitudes, orbits.basis, parity))
+        states.append(GroundState(float(w[0]), amplitudes, orbits, parity))
     return states[0], states[1], scale
 
 
@@ -291,7 +293,7 @@ def ground_state(spec: SpinChainSpec) -> GroundState:
     w, v = _lowest_levels(mat, 2)
     degenerate = abs(w[1] - w[0]) <= DEGENERACY_RTOL * scale
     # A copy, so that the state does not keep the second eigenvector alive through a view.
-    return GroundState(float(w[0]), v[:, 0].copy(), orbits.basis, PARITY_BROKEN, degenerate)
+    return GroundState(float(w[0]), v[:, 0].copy(), orbits, PARITY_BROKEN, degenerate)
 
 
 def parity_sector_energies(spec: SpinChainSpec) -> tuple[float, float]:
@@ -361,10 +363,9 @@ def _reduced_pair_from_vector(vector: np.ndarray, n: int, i: int, j: int) -> Den
     return make_density(psi @ psi.conj().T)
 
 
-def reduced_pair(gs: GroundState, i: int, j: int, vector: np.ndarray | None = None) -> DensityMatrix:
-    """Two-site reduced state of the ground vector at sites (i, j); pass ``vector``
-    when ``gs.vector`` is expanded already (a sweep point does so once for all pairs)."""
-    return _reduced_pair_from_vector(gs.vector if vector is None else vector, gs.n_sites, i, j)
+def reduced_pair(gs: GroundState, i: int, j: int) -> DensityMatrix:
+    """Two-site reduced state of the ground vector at sites (i, j)."""
+    return _reduced_pair_from_vector(gs.vector, gs.n_sites, i, j)
 
 
 def _h_s_magnitude(theta: float, h_zs: float, gamma: float) -> float:

@@ -93,7 +93,8 @@ class BlochDecomposition:
 
     ``corr`` is the covariance tensor ``<sA_u x sB_v> - <sA_u><sB_v>`` and
     ``moment`` the uncentered cross-moment tensor, so that
-    ``moment = corr + outer(r_a, r_b)``.  ``rho_a`` and ``rho_b`` are the reduced states.
+    ``moment = corr + outer(r_a, r_b)``.  ``rho_a`` and ``rho_b`` are the reduced states,
+    and ``t_ops[n] = Tr_B[rho (I x sigma_n)]`` the operators on A behind ``moment``.
     """
 
     r_a: np.ndarray  # (d_a^2 - 1,)
@@ -102,6 +103,7 @@ class BlochDecomposition:
     moment: np.ndarray  # (d_a^2 - 1, 3)
     rho_a: np.ndarray  # (d_a, d_a)
     rho_b: np.ndarray  # (2, 2)
+    t_ops: np.ndarray  # (3, d_a, d_a)
 
 
 def make_density(entries) -> DensityMatrix:
@@ -232,7 +234,7 @@ def bloch_decompose(rho: DensityMatrix, layout: BipartiteLayout) -> BlochDecompo
     t_ops = np.einsum("aibj,nji->nab", four, PAULI)
     moment = np.einsum("mba,nab->mn", basis_a, t_ops).real
     corr = moment - np.outer(r_a, r_b)
-    return BlochDecomposition(r_a, r_b, corr, moment, rho_a, rho_b)
+    return BlochDecomposition(r_a, r_b, corr, moment, rho_a, rho_b, t_ops)
 
 
 def reconstruct(dec: BlochDecomposition, layout: BipartiteLayout) -> DensityMatrix:

@@ -305,8 +305,7 @@ def _rows_for_point(cfg: SweepConfig, value: float, keys) -> list[SweepRow]:
             branches = [("+", gs.side_limits[0]), ("-", gs.side_limits[1])]
         else:
             branches = [("", gs)]
-        expanded = [(state, state.vector) for _, state in branches]  # one expansion a branch
-        pairs = [reduced_pair(s, 0, sep, vec) for s, vec in expanded for sep in cfg.separations]
+        pairs = [reduced_pair(state, 0, sep) for _, state in branches for sep in cfg.separations]
         found = _pair_cells(pairs, cfg.measures, cfg.search)
     except QcorrError as exc:
         # abort with the offending field value attached

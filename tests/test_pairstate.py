@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import pinched_blocks, random_density, random_pure
 from qcorr import _pairstate
 from qcorr._pairstate import PairContext
-from qcorr._sphere import sphere_grid
+from qcorr._sphere import folded_grid
 from qcorr.deficit import deficit, deficit_matrix, quadratic_deficit_closed, renyi_deficit
 from qcorr.discord import (
     SearchConfig,
@@ -83,7 +83,7 @@ class TestBlochForm:
         ctx = PairContext(rho, LAY22)
         rng = np.random.default_rng([seed, 1])
         dirs = rng.normal(size=(24, 3))
-        dirs = np.vstack([dirs, sphere_grid(8, 8), ctx.r_b, -ctx.r_b])
+        dirs = np.vstack([dirs, folded_grid(8, 8)[0], ctx.r_b, -ctx.r_b])
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         probs, lams = ctx.measured_blocks(dirs)
         for s, blocks in enumerate(pinched_blocks(rho, LAY22, dirs)):
@@ -93,7 +93,7 @@ class TestBlochForm:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(kind=KINDS, seed=SEEDS)
     def test_cached_grid_values_equal_single_row_calls(self, kind, seed):
-        grid = sphere_grid(16, 32)
+        grid = folded_grid(16, 32)[0]
         for d_a in (2, 3):  # the qubit-A Bloch form and the qutrit-A blocks
             ctx = PairContext(make_state(kind, seed, d_a), BipartiteLayout(d_a, 2))
             for functional in (VON_NEUMANN, QUADRATIC, tsallis(2.5)):

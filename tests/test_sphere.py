@@ -4,7 +4,7 @@ import numpy as np
 
 from helpers import random_density
 from qcorr._pairstate import PairContext
-from qcorr._sphere import grid_minima, minimize_on_sphere, sphere_grid
+from qcorr._sphere import folded_grid, grid_minima, minimize_on_sphere
 from qcorr.discord import DEFAULT_SEARCH, SearchConfig, _grid_refine
 from qcorr.entropy import VON_NEUMANN, tsallis
 from qcorr.statekit import BipartiteLayout
@@ -34,7 +34,7 @@ class TestMultiStart:
         return _well(dirs, self.DEEP, 1.0, 0.01) + _well(dirs, self.SHALLOW, 0.5, 0.3)
 
     def test_grid_argmin_is_in_the_shallow_well(self):
-        grid = sphere_grid(DEFAULT_SEARCH.grid_theta, DEFAULT_SEARCH.grid_phi)
+        grid = folded_grid(DEFAULT_SEARCH.grid_theta, DEFAULT_SEARCH.grid_phi)[0]
         values = self.objective(grid)
         assert abs(values.min() + 0.5) < 1e-12
         assert abs(grid[np.argmin(values)] @ self.SHALLOW) > 1.0 - 1e-12
@@ -71,7 +71,7 @@ class TestMinimizeOnSphere:
         rho = random_density(rng, 4, rank=2)
         ctx = PairContext(rho, BipartiteLayout(2, 2))
         objective = lambda dirs: ctx.measured_joint_entropy(dirs, tsallis(0.5))  # noqa: E731
-        starts = sphere_grid(8, 8)[::7]
+        starts = folded_grid(8, 8)[0][::7]
         ks, values = minimize_on_sphere(objective, starts, 0.2, 1e-10, 200)
         assert ks.shape == starts.shape and values.shape == (len(starts),)
         assert np.all(values <= objective(starts))
@@ -90,7 +90,7 @@ class TestGridMinima:
         # k and -k are one measurement: a well centred on the equator shows
         # up at both phi and phi + 180 deg but is one minimum.
         cfg = SearchConfig(grid_theta=10, grid_phi=12)
-        grid = sphere_grid(cfg.grid_theta, cfg.grid_phi)
+        grid = folded_grid(cfg.grid_theta, cfg.grid_phi)[0]
         values = _well(grid, _direction(90.0, 60.0), 1.0, 0.3)
         found = grid_minima(values, cfg.grid_theta, cfg.grid_phi)
         assert len(found) == 1
@@ -98,7 +98,7 @@ class TestGridMinima:
 
     def test_pole_counts_once_and_lowest_comes_first(self):
         cfg = SearchConfig(grid_theta=10, grid_phi=12)
-        grid = sphere_grid(cfg.grid_theta, cfg.grid_phi)
+        grid = folded_grid(cfg.grid_theta, cfg.grid_phi)[0]
         values = _well(grid, _direction(0.0, 0.0), 1.0, 0.2) + _well(
             grid, _direction(63.0, 150.0), 2.0, 0.2
         )

@@ -288,13 +288,42 @@ FULL_BASIS_CHAINS = {
     "afm-transverse": (-1.0, 0.5, (0.0, 0.0, 0.4)),
     "afm-tilted": (-1.0, 0.5, (0.3, 0.0, 0.4)),
     "chi-1.5": (1.0, 1.5, (0.0, 0.0, 0.4)),
+    "chi--1.5": (1.0, -1.5, (0.0, 0.0, 0.4)),
     "negative-h_x": (1.0, 0.5, (-0.3, 0.0, 0.4)),
+    "j_x-0-negative-h_x": (0.0, 0.5, (-0.3, 0.0, 0.4)),
 }
+#: The inputs of the orbit-table rule, on and around each of its boundaries.
 ORACLE_CHAINS = {
     "transverse": (1.0, 0.5, (0.0, 0.0, 0.4)),
     "tilted": (1.0, 0.5, (0.3, 0.0, 0.4)),
+    "chi-1": (1.0, 1.0, (0.0, 0.0, 0.4)),
+    "chi--1": (1.0, -1.0, (0.3, 0.0, 0.4)),
+    "chi--0.5": (1.0, -0.5, (0.3, 0.0, 0.4)),
+    "j_x-0-chi-1.5": (0.0, 1.5, (0.0, 0.0, 0.4)),
     **FULL_BASIS_CHAINS,
 }
+
+
+def isometry(orbits, rows=None) -> np.ndarray:
+    """Rows of the dense isometry V onto the normalized orbit sums (all rows by default).
+
+    Built from the table's ``reps``, ``index`` and ``size`` alone: column a is
+    ``|O_a|^-1/2`` on the states of orbit a.
+    """
+    rows = np.arange(orbits.index.size) if rows is None else rows
+    cols = orbits.index[rows]
+    v = np.zeros((rows.size, orbits.reps.size))
+    v[np.arange(rows.size), cols] = orbits.size[cols] ** -0.5
+    return v
+
+
+def assert_shared_table(gs, *others):
+    """gs and the others hold one read-only orbit table, consistent with itself."""
+    orbits = gs.orbits
+    assert all(other.orbits is orbits for other in others)
+    assert not any(a.flags.writeable for a in (orbits.reps, orbits.index, orbits.size, orbits.weight))
+    assert (orbits.index[orbits.reps] == np.arange(orbits.reps.size)).all()
+    assert (np.bincount(orbits.index) == orbits.size).all()
 
 
 class TestSolveBasis:
@@ -303,8 +332,7 @@ class TestSolveBasis:
         spec = SpinChainSpec(n_sites=6, j_x=j_x, chi=chi, field=field)
         gs = ground_state(spec)
         assert gs.amplitudes.size == 64
-        assert ground_state(spec).basis is gs.basis  # one identity, shared by every state
-        assert not any(a.flags.writeable for a in (gs.basis.data, gs.basis.indices, gs.basis.indptr))
+        assert_shared_table(gs, ground_state(spec))  # one identity, shared by every state
         ham = build_hamiltonian(spec)
         assert abs(gs.energy - np.linalg.eigvalsh(ham)[0]) < 1e-12
         assert np.linalg.norm(ham @ gs.vector - gs.energy * gs.vector) < 1e-12
@@ -315,7 +343,18 @@ class TestSolveBasis:
         gs = ground_state(SpinChainSpec(n_sites=6, j_x=1.0, chi=0.5, field=field))
         assert gs.amplitudes.size == 14
         assert gs.n_sites == 6
-        assert not any(a.flags.writeable for a in (gs.basis.data, gs.basis.indices, gs.basis.indptr))
+        other = ground_state(SpinChainSpec(n_sites=6, j_x=0.7, chi=0.2, field=(0.0, 0.0, 0.9)))
+        assert_shared_table(gs, other)
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 14])
+    @pytest.mark.parametrize("chain", ["transverse", "tilted", "afm-transverse"])
+    def test_vector_is_the_isometry_product(self, n, chain):
+        # V is dense, so it is applied a block of rows at a time: at most 2^22 entries
+        gs = ground_state(SpinChainSpec(n, *ORACLE_CHAINS[chain]))
+        block = max(1, (1 << 22) // gs.amplitudes.size)
+        blocks = np.split(np.arange(1 << n), range(block, 1 << n, block))
+        product = np.concatenate([isometry(gs.orbits, rows) @ gs.amplitudes for rows in blocks])
+        assert np.array_equal(gs.vector, product)
 
     def test_n14_tilted_state_is_compact(self):
         field = (np.sin(np.deg2rad(20.0)), 0.0, np.cos(np.deg2rad(20.0)))
@@ -341,7 +380,7 @@ class TestSolveBasis:
         spec = SpinChainSpec(n, j_x, chi, field)
         ham = kron_hamiltonian(spec)
         orbits, projected, scale = spinchain._assembled(spec)
-        basis = orbits.basis.toarray()
+        basis = isometry(orbits)
         stoquastic = (ham - np.diag(np.diag(ham))).max() <= 0.0
         assert orbits is spinchain._orbits(n, stoquastic)
         assert np.abs(projected.toarray() - basis.T @ ham @ basis).max() <= 1e-14
