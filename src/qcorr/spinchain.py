@@ -6,14 +6,15 @@ The Hamiltonian is
 
 on the cyclic first-neighbor ring (site N is site 0; N = 2 has one bond)
 that every formula here assumes, with S^u = sigma^u / 2, a field h in the xz
-plane and J_y = chi * J_x.  H is solved in the span of the translation-orbit
-sums (momentum zero), which holds its ground level when H is stoquastic
-((J_x = 0 or J_x > 0 and |chi| <= 1) and h_x >= 0), and in the full basis
-otherwise.  Either way the matrix is assembled directly in that basis, by
-applying H to one representative state of each translation orbit
-(singletons for the full basis), so no 2^N matrix stands behind a
-momentum-zero solve.  For a transverse field the z spin parity
-P_z = prod_i(-2 S_i^z) commutes with H, so diagonalization proceeds per
+plane and J_y = chi * J_x.  H is solved in the span of the orbit sums of the
+ring's rotations and reflection (the dihedral group), which holds its ground
+level when H is stoquastic ((J_x = 0 or J_x > 0 and |chi| <= 1) and
+h_x >= 0), and in the full basis otherwise.  Either way the matrix is
+assembled directly in that basis, by applying H to one representative state
+of each orbit (singletons for the full basis), as a numpy array solved by
+``eigh`` up to ``DENSE_MAX_DIM`` columns and as a sparse one solved by
+Lanczos, the only use of scipy, above.  For a transverse field the z spin
+parity P_z = prod_i(-2 S_i^z) commutes with H, so diagonalization proceeds per
 parity block.  Each block is also a quadratic fermion problem
 after a Jordan-Wigner transformation, and the crossing scan takes the two
 sector energies from that solution, with no eigensolve; the block
@@ -33,11 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import (
     GammaTooLarge,
@@ -48,9 +47,13 @@ from .errors import (
 )
 from .statekit import DensityMatrix, make_density
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 MAX_SITES = 14
-#: Largest matrix solved densely: above it Lanczos wins (dim 512: 2.3 ms against 20 ms).
-DENSE_MAX_DIM = 256
+#: Largest matrix solved densely: above it Lanczos wins (dim 128: numpy ``eigh`` 1.8 ms
+#: against ``eigsh`` 2.4 ms; dim 176: 3.8 against 3.1 ms).
+DENSE_MAX_DIM = 128
 #: Relative energy-splitting threshold below which a crossing is declared.
 DEGENERACY_RTOL = 1e-10
 #: Width of the field bracket at which crossing bisection stops.
@@ -148,7 +151,7 @@ def _site_bits(states: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Orbits:
-    """Translation orbits of the 2^N basis states, or their singletons: each orbit's
+    """Dihedral orbits of the 2^N basis states, or their singletons: each orbit's
     least state (``reps``, ascending), the orbit of every state (``index``), the
     states per orbit (``size``) and each state's weight ``|O|^-1/2`` in the isometry
     V onto the normalized orbit sums (``weight``), so ``V @ x = x[index] * weight``."""
@@ -160,28 +163,33 @@ class _Orbits:
 
 
 @lru_cache(maxsize=None)
-def _orbits(n: int, momentum_zero: bool) -> _Orbits:
-    """The orbits of N sites, singletons unless ``momentum_zero``.  Cached, so states
-    of one size share the table, and read-only, so that no caller can change it under them."""
+def _orbits(n: int, symmetric: bool) -> _Orbits:
+    """The orbits of N sites under rotations and the reflection i -> N-1-i, singletons
+    unless ``symmetric``.  Cached, so states of one size share the table, and read-only,
+    so that no caller can change it under them."""
     if n > MAX_SITES:
         raise TooLarge(f"exact diagonalization capped at {MAX_SITES} sites, got {n}")
-    states = np.arange(1 << n)
-    shifts = range(n) if momentum_zero else [0]
-    rotations = [((states << s) | (states >> (n - s))) & ((1 << n) - 1) for s in shifts]
-    reps, index, size = np.unique(np.min(rotations, axis=0), return_inverse=True, return_counts=True)
+    least = states = np.arange(1 << n)
+    if symmetric:
+        mirror = sum(((states >> i) & 1) << (n - 1 - i) for i in range(n))
+        for image in (states, mirror):
+            for s in range(n):
+                least = np.minimum(least, ((image << s) | (image >> (n - s))) & ((1 << n) - 1))
+    reps, index, size = np.unique(least, return_inverse=True, return_counts=True)
     weight = size[index] ** -0.5
     for array in (reps, index, size, weight):
         array.setflags(write=False)
     return _Orbits(reps, index, size, weight)
 
 
-def _matrix(spec: SpinChainSpec, orbits: _Orbits) -> tuple[sp.csr_matrix, np.ndarray]:
+def _matrix(spec: SpinChainSpec, orbits: _Orbits) -> tuple[np.ndarray | sp.csr_matrix, np.ndarray]:
     """``V^T H V``, and the elements of H in its representative columns (row 0 the diagonal).
 
-    H is applied to each representative r_b.  Translations commute with H, so
-    ``<a|H|b> = sqrt(|O_b| / |O_a|) sum_{s in O_a} H_{s, r_b}``: each image is
-    mapped to its orbit and weighted, and duplicates are summed.  With
-    singleton orbits every weight is 1 and this is H itself.
+    H is applied to each representative r_b.  Rotations and the reflection
+    commute with H, so ``<a|H|b> = sqrt(|O_b| / |O_a|) sum_{s in O_a} H_{s, r_b}``:
+    each image is mapped to its orbit and weighted, and duplicates are summed.
+    With singleton orbits every weight is 1 and this is H itself.  It is a
+    numpy array up to ``DENSE_MAX_DIM`` columns, CSR above.
     """
     n, states = spec.n_sites, orbits.reps
     h_x, _, h_z = spec.field
@@ -202,21 +210,28 @@ def _matrix(spec: SpinChainSpec, orbits: _Orbits) -> tuple[sp.csr_matrix, np.nda
     rows, values = orbits.index[np.array(images)], np.array(values)
     cols = np.broadcast_to(np.arange(states.size), rows.shape)
     weighted = values * np.sqrt(orbits.size[cols] / orbits.size[rows])
-    mat = sp.coo_matrix((weighted.ravel(), (rows.ravel(), cols.ravel())), shape=(states.size,) * 2)
-    return mat.tocsr(), values
+    shape = (states.size,) * 2
+    if states.size <= DENSE_MAX_DIM:
+        mat = np.zeros(shape)
+        np.add.at(mat, (rows, cols), weighted)
+        return mat, values
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((weighted.ravel(), (rows.ravel(), cols.ravel())), shape=shape), values
 
 
-def _assembled(spec: SpinChainSpec) -> tuple[_Orbits, sp.csr_matrix, float]:
+def _assembled(spec: SpinChainSpec) -> tuple[_Orbits, np.ndarray | sp.csr_matrix, float]:
     """The orbits chosen for H, ``V^T H V``, and H's scale, its largest absolute row sum.
 
-    V is the momentum-zero isometry when no off-diagonal element of H is
-    positive, the identity otherwise.  Those elements, ``-J_x (1 -/+ chi) / 4``
-    on the bonds (equal and unequal bits) and ``-h_x / 2``, keep their signs
-    when rounded.  Such an H is stoquastic: it and each parity block have a
-    nonnegative ground vector (Perron-Frobenius), whose average over the
-    translations, which commute with H and keep the parity, lies in the span
-    of the orbit sums.  The columns of H at the chosen representatives hold
-    all of its elements and, H being symmetric, its largest absolute row sum.
+    V is the isometry onto the dihedral orbit sums when no off-diagonal
+    element of H is positive, the identity otherwise.  Those elements,
+    ``-J_x (1 -/+ chi) / 4`` on the bonds (equal and unequal bits) and
+    ``-h_x / 2``, keep their signs when rounded.  Such an H is stoquastic: it
+    and each parity block have a nonnegative ground vector (Perron-Frobenius),
+    whose average over the rotations and the reflection, which permute basis
+    states, commute with H and keep the parity, lies in the span of the orbit
+    sums.  The columns of H at the chosen representatives hold all of its
+    elements and, H being symmetric, its largest absolute row sum.
     """
     j_x, chi, h_x = spec.j_x, spec.chi, spec.field[0]
     stoquastic = (j_x == 0.0 or (j_x > 0.0 and abs(chi) <= 1.0)) and h_x >= 0.0
@@ -227,7 +242,8 @@ def _assembled(spec: SpinChainSpec) -> tuple[_Orbits, sp.csr_matrix, float]:
 
 def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
     """Dense Hamiltonian matrix (real, since the field lies in the xz plane)."""
-    return _matrix(spec, _orbits(spec.n_sites, False))[0].toarray()
+    mat = _matrix(spec, _orbits(spec.n_sites, False))[0]
+    return mat if isinstance(mat, np.ndarray) else mat.toarray()
 
 
 def _sectors(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,19 +257,21 @@ def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _sectors(np.arange(1 << n), n)
 
 
-def _lowest_levels(mat: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _lowest_levels(mat: np.ndarray | sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``k`` eigenvalues (ascending) of a real symmetric matrix and their eigenvectors.
 
-    Every eigensolve of the chain goes through here: dense LAPACK up to
-    ``DENSE_MAX_DIM``, Lanczos (ARPACK) above it.
+    Every eigensolve of the chain goes through here: numpy's LAPACK ``eigh`` up
+    to ``DENSE_MAX_DIM``, Lanczos (ARPACK, which loads scipy) above it.
     """
     dim = mat.shape[0]
     if dim <= DENSE_MAX_DIM:
-        w, v = scipy.linalg.eigh(mat.toarray(), subset_by_index=(0, k - 1))
-    else:
-        # A fixed start vector keeps ARPACK, and so the sweep output, deterministic.
-        v0 = np.random.default_rng(0).normal(size=dim)
-        w, v = sp.linalg.eigsh(mat, k=k, which="SA", v0=v0)
+        w, v = np.linalg.eigh(mat if isinstance(mat, np.ndarray) else mat.toarray())
+        return w[:k], v[:, :k]
+    from scipy.sparse.linalg import eigsh
+
+    # A fixed start vector keeps ARPACK, and so the sweep output, deterministic.
+    v0 = np.random.default_rng(0).normal(size=dim)
+    w, v = eigsh(mat, k=k, which="SA", v0=v0)
     order = np.argsort(w)
     return w[order], v[:, order]
 
@@ -292,7 +310,7 @@ def ground_state(spec: SpinChainSpec) -> GroundState:
     orbits, mat, scale = _assembled(spec)
     w, v = _lowest_levels(mat, 2)
     degenerate = abs(w[1] - w[0]) <= DEGENERACY_RTOL * scale
-    # A copy, so that the state does not keep the second eigenvector alive through a view.
+    # A copy, so that the state does not keep the other eigenvectors alive through a view.
     return GroundState(float(w[0]), v[:, 0].copy(), orbits, PARITY_BROKEN, degenerate)
 
 

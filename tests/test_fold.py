@@ -159,7 +159,7 @@ class TestSymmetryTolerance:
         assert grid_rows(monkeypatch, rho) == {0: 7320, 1: 3661, 2: 1861}[fold]
 
 
-# orbit blocks of dimension 6 and 108 (dense) and 352 (Lanczos)
+# orbit blocks of dimension 6 and 78 (dense) and 224 (Lanczos)
 @pytest.mark.parametrize("n_sites", [4, 10, 12])
 def test_tilted_ground_vector_owns_its_data(n_sites):
     state = ground_state(SpinChainSpec(n_sites=n_sites, j_x=1.0, chi=0.5, field=(0.4, 0.0, 0.6)))

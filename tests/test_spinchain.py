@@ -317,6 +317,11 @@ def isometry(orbits, rows=None) -> np.ndarray:
     return v
 
 
+def dense(mat) -> np.ndarray:
+    """An assembled matrix as a numpy array: it is one up to DENSE_MAX_DIM columns, CSR above."""
+    return mat if isinstance(mat, np.ndarray) else mat.toarray()
+
+
 def assert_shared_table(gs, *others):
     """gs and the others hold one read-only orbit table, consistent with itself."""
     orbits = gs.orbits
@@ -339,12 +344,30 @@ class TestSolveBasis:
 
     @pytest.mark.parametrize("field", [(0.0, 0.0, 0.4), (0.3, 0.0, 0.4)], ids=["transverse", "tilted"])
     def test_stoquastic_chain_solves_momentum_zero(self, field):
-        # the 64 states of 6 sites fall into 14 translation orbits
+        # the 64 states of 6 sites fall into 13 orbits of the rotations and the reflection
         gs = ground_state(SpinChainSpec(n_sites=6, j_x=1.0, chi=0.5, field=field))
-        assert gs.amplitudes.size == 14
+        assert gs.amplitudes.size == 13
         assert gs.n_sites == 6
         other = ground_state(SpinChainSpec(n_sites=6, j_x=0.7, chi=0.2, field=(0.0, 0.0, 0.9)))
         assert_shared_table(gs, other)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_orbit_tables_follow_the_ring_symmetries(self, n):
+        # each state's least image under the rotations and the mirror, from a bit matrix
+        states = np.arange(1 << n)
+        bits = (states[:, None] >> np.arange(n)[::-1]) & 1  # site i in column i
+        place = 1 << np.arange(n)[::-1]
+        rotated = np.roll(bits, 1, axis=1) @ place
+        mirrored = bits[:, ::-1] @ place
+        images = [np.roll(image, s, axis=1) @ place for image in (bits, bits[:, ::-1]) for s in range(n)]
+        symmetric, single = spinchain._orbits(n, True), spinchain._orbits(n, False)
+        assert (symmetric.index[rotated] == symmetric.index).all()
+        assert (symmetric.index[mirrored] == symmetric.index).all()
+        reps, index = np.unique(np.min(images, axis=0), return_inverse=True)
+        assert (symmetric.reps == reps).all() and (symmetric.index == index).all()
+        assert (single.reps == states).all() and (single.index == states).all()
+        for orbits in (symmetric, single):
+            assert (np.bincount(orbits.index) == orbits.size).all()
 
     @pytest.mark.parametrize("n", [4, 8, 12, 14])
     @pytest.mark.parametrize("chain", ["transverse", "tilted", "afm-transverse"])
@@ -359,12 +382,15 @@ class TestSolveBasis:
     def test_n14_tilted_state_is_compact(self):
         field = (np.sin(np.deg2rad(20.0)), 0.0, np.cos(np.deg2rad(20.0)))
         gs = ground_state(SpinChainSpec(n_sites=14, j_x=1.0, chi=0.5, field=field))
-        assert gs.amplitudes.size == 1182
+        assert gs.amplitudes.size == 687
         assert abs(np.linalg.norm(gs.vector) - 1.0) < 1e-12
-        assert [spinchain._orbits(n, True).reps.size for n in (8, 10, 12)] == [36, 108, 352]
+        assert [spinchain._orbits(n, True).reps.size for n in (8, 10, 12)] == [30, 78, 224]
+        assert [sel.size for sel in spinchain._sectors(spinchain._orbits(8, True).reps, 8)] == [18, 12]
 
     def test_n14_tilted_solve_allocates_little(self):
         # assembling the 2^N matrix and projecting it peaked at about 24 MB
+        import scipy.sparse.linalg  # noqa: F401  (loaded on the first Lanczos solve, not per solve)
+
         field = (np.sin(np.deg2rad(20.0)), 0.0, np.cos(np.deg2rad(20.0)))
         tracemalloc.start()
         try:
@@ -383,7 +409,7 @@ class TestSolveBasis:
         basis = isometry(orbits)
         stoquastic = (ham - np.diag(np.diag(ham))).max() <= 0.0
         assert orbits is spinchain._orbits(n, stoquastic)
-        assert np.abs(projected.toarray() - basis.T @ ham @ basis).max() <= 1e-14
+        assert np.abs(dense(projected) - basis.T @ ham @ basis).max() <= 1e-14
         assert abs(scale - np.abs(ham).sum(axis=1).max()) <= 1e-14 * scale
         even, odd = spinchain._sectors(orbits.reps, n)
         signs = np.sign(basis.T @ kron_parity(n))
@@ -400,7 +426,7 @@ class TestSolveBasis:
                     spec = SpinChainSpec(n, 1.0, chi, (h_mag * np.sin(g), 0.0, h_mag * np.cos(g)))
                     ham = kron_hamiltonian(spec)
                     _, projected, _ = spinchain._assembled(spec)
-                    low = np.linalg.eigvalsh(projected.toarray())[:2]
+                    low = np.linalg.eigvalsh(dense(projected))[:2]
                     full = np.linalg.eigvalsh(ham)[:2]
                     assert np.abs(low - full).max() < 1e-12
                     scale = np.abs(ham).sum(axis=1).max()

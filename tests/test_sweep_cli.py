@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from qcorr.statekit import make_density, to_json
 from qcorr.sweep import parse_config, render_csv, report_limits, run_sweep
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def base_config(**overrides):
@@ -416,3 +420,45 @@ class TestCli:
     def test_bad_arguments(self):
         assert main(["sweep"]) == 2
         assert main(["measure", "--state", "x"]) == 2
+
+
+# Run in a fresh interpreter, so that no other test's imports count.
+IMPORT_BOUNDARY = textwrap.dedent(
+    """
+    import contextlib, io, sys
+
+    import numpy as np
+
+    import qcorr
+    from qcorr import cli
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    light = qcorr.SearchConfig(grid_theta=16, grid_phi=32)
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    rho = qcorr.make_density(0.9 * np.outer(bell, bell) + 0.1 * np.eye(4) / 4.0)
+    layout = qcorr.BipartiteLayout(2, 2)
+    qcorr.discord(rho, layout, light)
+    qcorr.deficit(rho, layout, qcorr.VON_NEUMANN, light)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["limits", "--chi", "0.5", "--n", "8"]) == 0
+    cfg = qcorr.parse_config({
+        "chain": {"n_sites": 10, "j_x": 1.0, "chi": 0.5},
+        "sweep": {"variable": "h_z", "from": 0.3, "to": 0.4, "points": 2},
+        "search": {"grid_theta": 16, "grid_phi": 32},
+    })
+    assert len(qcorr.run_sweep(cfg)) == 2
+    assert scipy_modules() == [], scipy_modules()[:3]
+    g = np.deg2rad(20.0)
+    qcorr.ground_state(qcorr.SpinChainSpec(14, 1.0, 0.5, (0.8 * np.sin(g), 0.0, 0.8 * np.cos(g))))
+    assert "scipy.sparse.linalg" in sys.modules
+    """
+)
+
+
+def test_scipy_loads_only_for_lanczos():
+    # measures, limits and chains up to N = 10 run on numpy alone; an N = 14 solve is Lanczos
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,11 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+# The tracer hooks the scipy eigensolvers through sys.modules.  qcorr loads scipy
+# only for a Lanczos solve; the bench has both modules loaded by its oracles.
+import scipy.linalg  # noqa: F401
+import scipy.sparse.linalg  # noqa: F401
+
 from qcorr.spinchain import SpinChainSpec, ground_state, reduced_pair
 from qcorr.sweep import measure_state, parse_config, run_sweep
 
