@@ -277,14 +277,15 @@ def _lowest_levels(mat: np.ndarray | sp.csr_matrix, k: int) -> tuple[np.ndarray,
 
 
 def _sector_ground_states(spec: SpinChainSpec) -> tuple[GroundState, GroundState, float]:
-    """Lowest even- and odd-parity states of a transverse-field Hamiltonian, and its scale."""
+    """Even and odd parity ground states (``degenerate`` on a twofold block minimum), H's scale."""
     orbits, mat, scale = _assembled(spec)
     states = []
     for parity, sel in zip((PARITY_EVEN, PARITY_ODD), _sectors(orbits.reps, spec.n_sites)):
-        w, v = _lowest_levels(mat[sel][:, sel], 1)
+        w, v = _lowest_levels(mat[sel][:, sel], min(2, sel.size))
         amplitudes = np.zeros(orbits.reps.size)
         amplitudes[sel] = v[:, 0]
-        states.append(GroundState(float(w[0]), amplitudes, orbits, parity))
+        tied = w.size == 2 and w[1] - w[0] <= DEGENERACY_RTOL * scale
+        states.append(GroundState(float(w[0]), amplitudes, orbits, parity, tied))
     return states[0], states[1], scale
 
 
@@ -294,7 +295,9 @@ def ground_state(spec: SpinChainSpec) -> GroundState:
     H is assembled and solved in the basis ``_assembled`` chooses.  Transverse
     fields are diagonalized per parity block; when the two block minima agree
     within 1e-10 of the Hamiltonian scale the state is flagged degenerate and
-    both definite-parity side limits are attached (even first).  Other fields
+    both definite-parity side limits are attached (even first); a twofold
+    lowest level inside the lower block (odd antiferromagnetic rings), or
+    inside either block at a tie, is flagged without side limits.  Other fields
     break the symmetry: parity is marked broken, and ``degenerate`` reads the
     two lowest levels in that basis (a level outside it could only be a lower
     second one, and Perron-Frobenius keeps every such level above the ground
@@ -305,6 +308,8 @@ def ground_state(spec: SpinChainSpec) -> GroundState:
         lower = even if even.energy <= odd.energy else odd
         if abs(even.energy - odd.energy) > DEGENERACY_RTOL * scale:
             return lower
+        if even.degenerate or odd.degenerate:  # a level of more than two states
+            return replace(lower, degenerate=True)
         side = (replace(even, degenerate=True), replace(odd, degenerate=True))
         return replace(lower, degenerate=True, side_limits=side)
     orbits, mat, scale = _assembled(spec)
@@ -359,9 +364,11 @@ def parity_crossings(
     fermions (``_sector_splitting``), records grid points where it is exactly
     zero, and bisects every cell whose upper end changes sign against its
     lower end, all cells together, to ``CROSSING_TOL``.  ``spec.field`` is
-    ignored.  The ED sector energies (``parity_sector_energies``) are the
-    oracle this scan is tested against.
+    ignored, and ``h_min < h_max`` and ``points >= 2`` are required
+    (``ValueError``).  The ED sector energies are the oracle it is tested against.
     """
+    if not h_min < h_max or points < 2:
+        raise ValueError(f"need h_min < h_max and points >= 2, got [{h_min}, {h_max}], {points}")
     grid = np.linspace(h_min, h_max, points)
     split = _sector_splitting(spec, grid)
     cells = np.flatnonzero(split[:-1] * split[1:] < 0.0)
@@ -373,17 +380,14 @@ def parity_crossings(
     return np.sort(np.concatenate([grid[:-1][split[:-1] == 0.0], 0.5 * (lo + hi)]))
 
 
-def _reduced_pair_from_vector(vector: np.ndarray, n: int, i: int, j: int) -> DensityMatrix:
-    if not (0 <= i < j < n):
-        raise IndexOutOfRange(f"need 0 <= i < j < {n}, got ({i}, {j})")
-    psi = vector.reshape((2,) * n)
-    psi = np.moveaxis(psi, (i, j), (0, 1)).reshape(4, -1)
-    return make_density(psi @ psi.conj().T)
-
-
 def reduced_pair(gs: GroundState, i: int, j: int) -> DensityMatrix:
     """Two-site reduced state of the ground vector at sites (i, j)."""
-    return _reduced_pair_from_vector(gs.vector, gs.n_sites, i, j)
+    n = gs.n_sites
+    if not (0 <= i < j < n):
+        raise IndexOutOfRange(f"need 0 <= i < j < {n}, got ({i}, {j})")
+    psi = gs.vector.reshape((2,) * n)
+    psi = np.moveaxis(psi, (i, j), (0, 1)).reshape(4, -1)
+    return make_density(psi @ psi.conj().T)
 
 
 def _h_s_magnitude(theta: float, h_zs: float, gamma: float) -> float:
@@ -431,34 +435,27 @@ def rho_theta(theta: float, n_sites: int | None = None):
 
     With ``n_sites`` omitted, returns the overlap-neglected equal mixture of
     the two product states at cant angles +/- theta, the common reduced pair
-    state at the transverse factorizing field.  With ``n_sites`` given, also
-    builds the exact definite-parity combinations of the two product chains
-    and returns ``(rho_theta, (rho_plus, rho_minus))`` with their reduced
-    pair states, which retain the overlap cos(theta)^N.
+    state at the transverse factorizing field.  With ``n_sites`` given, returns
+    ``(rho_theta, (rho_plus, rho_minus))``, adding the pair states of the exact
+    definite-parity chains |theta>^N +/- |-theta>^N, with c = cos(theta):
+    [|uu><uu| + |dd><dd| +/- c^(N-2) (|uu><dd| + h.c.)] / (2 (1 +/- c^N)).
     """
     if not 0.0 < theta <= 0.5 * np.pi:
         raise InvalidTheta(f"theta must be in (0, pi/2], got {theta}")
-    up = canted_qubit(theta)
-    down = canted_qubit(-theta)
-    pair_up = np.kron(up, up)
-    pair_down = np.kron(down, down)
-    mixed = 0.5 * (np.outer(pair_up, pair_up.conj()) + np.outer(pair_down, pair_down.conj()))
-    rho_mix = make_density(mixed)
+    uu, dd = (np.kron(q, q) for q in (canted_qubit(theta), canted_qubit(-theta)))
+    diagonal = np.outer(uu, uu.conj()) + np.outer(dd, dd.conj())
+    cross = np.outer(uu, dd.conj()) + np.outer(dd, uu.conj())
+    rho_mix = make_density(0.5 * diagonal)
     if n_sites is None:
         return rho_mix
-    if n_sites > MAX_SITES:
-        raise TooLarge(f"chain construction capped at {MAX_SITES} sites")
-    chain_up = up
-    chain_down = down
-    for _ in range(n_sites - 1):
-        chain_up = np.kron(chain_up, up)
-        chain_down = np.kron(chain_down, down)
-    overlap = float(np.cos(theta) ** n_sites)
-    sides = []
-    for sign in (+1.0, -1.0):
-        vec = (chain_up + sign * chain_down) / np.sqrt(2.0 * (1.0 + sign * overlap))
-        sides.append(_reduced_pair_from_vector(vec, n_sites, 0, 1))
-    return rho_mix, (sides[0], sides[1])
+    if n_sites < 2:
+        raise IndexOutOfRange(f"a pair needs at least 2 sites, got {n_sites}")
+    c = np.cos(theta)
+    plus, minus = (
+        make_density((diagonal + s * c ** (n_sites - 2) * cross) / (2.0 * (1.0 + s * c**n_sites)))
+        for s in (1.0, -1.0)
+    )
+    return rho_mix, (plus, minus)
 
 
 def concurrence_side_limits(chi: float, n_sites: int) -> tuple[float, float]:

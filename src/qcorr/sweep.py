@@ -374,17 +374,16 @@ def report_limits(chi: float, n_sites: int) -> dict:
     fac = factorizing_field(chi, 1.0)
     mixed, (side_plus, side_minus) = rho_theta(fac.theta, n_sites)
     c_plus, c_minus = concurrence_side_limits(chi, n_sites)
-
-    def _measures(rho):
-        cells = _pair_cells([rho], ("D", "I1", "I2", "concurrence", "eof"), None)[0]
-        return {m: asdict(c) if m in ANGLED_MEASURES else c.value for m, c in cells.items()}
-
+    cells = _pair_cells([mixed, side_plus, side_minus], ("D", "I1", "I2", "concurrence", "eof"), None)
+    mix, plus, minus = (
+        {m: asdict(c) if m in ANGLED_MEASURES else c.value for m, c in state.items()} for state in cells
+    )
     return {
         "chi": chi,
         "n_sites": n_sites,
         "theta": fac.theta,
         "h_zs": fac.h_zs,
-        "rho_theta": _measures(mixed),
-        "side_plus": {**_measures(side_plus), "concurrence_formula": c_plus},
-        "side_minus": {**_measures(side_minus), "concurrence_formula": c_minus},
+        "rho_theta": mix,
+        "side_plus": {**plus, "concurrence_formula": c_plus},
+        "side_minus": {**minus, "concurrence_formula": c_minus},
     }

@@ -107,6 +107,18 @@ class TestGroundState:
         assert plus.parity == 1 and minus.parity == -1
         assert abs(plus.energy - minus.energy) < 1e-9
 
+    def test_degenerate_level_inside_a_sector(self):
+        # Odd antiferromagnetic rings are frustrated: each parity sector's lowest
+        # level is twofold (momenta +-k), so the state returned is one of many and
+        # is flagged, without side limits; at zero field the two sectors also tie.
+        for n in (5, 7):
+            for h_z in (0.0, 0.1, 0.3):
+                gs = ground_state(SpinChainSpec(n_sites=n, j_x=-1.0, chi=0.5, field=(0.0, 0.0, h_z)))
+                assert gs.degenerate, (n, h_z)
+                assert gs.side_limits is None, (n, h_z)
+        gs = ground_state(SpinChainSpec(n_sites=6, j_x=-1.0, chi=0.5, field=(0.0, 0.0, 0.3)))
+        assert not gs.degenerate
+
     def test_vector_is_eigenvector(self):
         spec = SpinChainSpec(n_sites=6, j_x=1.0, chi=0.5, field=(0.0, 0.0, 0.3))
         gs = ground_state(spec)
@@ -199,6 +211,13 @@ class TestParityCrossings:
         expected = [0.142590810129677, 0.4058818074242362, 0.606365997249213, 0.7071067811460001]
         crossings = parity_crossings(spec, 0.0, 0.75, points=2000)
         assert np.abs(crossings - expected).max() < spinchain.CROSSING_TOL
+
+    def test_refuses_empty_or_descending_range(self):
+        # a descending grid never bisects (hi - lo < 0) and one point has no cell
+        spec = SpinChainSpec(n_sites=8, j_x=1.0, chi=0.5)
+        for h_min, h_max, points in ((0.75, 0.0, 2000), (0.5, 0.5, 100), (0.0, 0.75, 1)):
+            with pytest.raises(ValueError):
+                parity_crossings(spec, h_min, h_max, points=points)
 
     def test_scan_runs_no_eigensolve(self, monkeypatch):
         # the scan takes its sector energies from Jordan-Wigner fermions, not from ED
@@ -543,22 +562,32 @@ class TestRhoTheta:
 
 class TestSideLimitsAgainstChain:
     def test_ed_matches_construction(self):
-        # The diagonalized side limits and the directly built definite-parity
-        # combinations give the same pair measures for every separation.
-        theta = np.arccos(np.sqrt(0.5))
-        _, (rp, rm) = rho_theta(theta, 8)
-        spec = SpinChainSpec(n_sites=8, j_x=1.0, chi=0.5, field=(0.0, 0.0, np.sqrt(0.5)))
-        gs = ground_state(spec)
-        refs = {1: rp, -1: rm}
-        for side in gs.side_limits:
-            ref = refs[side.parity]
-            d_ref = discord(ref, LAY22).value
-            i2_ref = quadratic_deficit_closed(ref, LAY22).value
-            for sep in (1, 2, 3, 4):
-                pair = reduced_pair(gs=side, i=0, j=sep)
-                assert abs(discord(pair, LAY22).value - d_ref) < 1e-8
-                assert abs(quadratic_deficit_closed(pair, LAY22).value - i2_ref) < 1e-8
-                assert abs(concurrence(pair) - concurrence(ref)) < 1e-8
+        # The diagonalized side limits at h_zs and the closed-form pair states of
+        # the definite-parity combinations agree entry by entry, and in their pair
+        # measures, at every separation.  canted_qubit cants from -z and the
+        # chain's spins, in a field along +z, from +z: sigma_x on both sites, which
+        # reverses the two-qubit basis and keeps the parity of an even ring, maps
+        # one onto the other.
+        for n in (4, 6, 8, 10, 12):
+            for chi in (0.3, 0.5, 0.8):
+                theta = np.arccos(np.sqrt(chi))
+                _, (rp, rm) = rho_theta(theta, n)
+                spec = SpinChainSpec(n_sites=n, j_x=1.0, chi=chi, field=(0.0, 0.0, np.sqrt(chi)))
+                gs = ground_state(spec)
+                refs = {1: rp, -1: rm}
+                for side in gs.side_limits:
+                    ref = refs[side.parity]
+                    d_ref = discord(ref, LAY22).value
+                    i2_ref = quadratic_deficit_closed(ref, LAY22).value
+                    flipped = ref.entries[::-1, ::-1]
+                    for sep in range(1, n // 2 + 1):
+                        pair = reduced_pair(gs=side, i=0, j=sep)
+                        assert np.abs(pair.entries - flipped).max() < 1e-10, (n, chi, sep)
+                        assert abs(discord(pair, LAY22).value - d_ref) < 1e-8
+                        assert abs(quadratic_deficit_closed(pair, LAY22).value - i2_ref) < 1e-8
+                        assert abs(concurrence(pair) - concurrence(ref)) < 1e-8
+        with pytest.raises(IndexOutOfRange):
+            rho_theta(theta, 1)
 
 
 class TestAfmMap:
