@@ -257,73 +257,72 @@ def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _sectors(np.arange(1 << n), n)
 
 
-def _lowest_levels(mat: np.ndarray | sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``k`` eigenvalues (ascending) of a real symmetric matrix and their eigenvectors.
+def _ground_level(block: np.ndarray | sp.csr_matrix, scale: float) -> tuple[float, np.ndarray, bool]:
+    """Lowest eigenvalue of a real symmetric block, its eigenvector, and whether it is
+    twofold: a second level within ``DEGENERACY_RTOL * scale`` of it.
 
     Every eigensolve of the chain goes through here: numpy's LAPACK ``eigh`` up
     to ``DENSE_MAX_DIM``, Lanczos (ARPACK, which loads scipy) above it.
     """
-    dim = mat.shape[0]
+    dim = block.shape[0]
     if dim <= DENSE_MAX_DIM:
-        w, v = np.linalg.eigh(mat if isinstance(mat, np.ndarray) else mat.toarray())
-        return w[:k], v[:, :k]
-    from scipy.sparse.linalg import eigsh
+        w, v = np.linalg.eigh(block if isinstance(block, np.ndarray) else block.toarray())
+    else:
+        from scipy.sparse.linalg import eigsh
 
-    # A fixed start vector keeps ARPACK, and so the sweep output, deterministic.
-    v0 = np.random.default_rng(0).normal(size=dim)
-    w, v = eigsh(mat, k=k, which="SA", v0=v0)
-    order = np.argsort(w)
-    return w[order], v[:, order]
+        # A fixed start vector keeps ARPACK, and so the sweep output, deterministic.
+        w, v = eigsh(block, k=2, which="SA", v0=np.random.default_rng(0).normal(size=dim))
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
+    return float(w[0]), v[:, 0], bool(w.size > 1 and w[1] - w[0] <= DEGENERACY_RTOL * scale)
 
 
-def _sector_ground_states(spec: SpinChainSpec) -> tuple[GroundState, GroundState, float]:
-    """Even and odd parity ground states (``degenerate`` on a twofold block minimum), H's scale."""
+def _block_states(spec: SpinChainSpec) -> tuple[list[GroundState], float]:
+    """Each block's ground state, ``degenerate`` on a twofold level, and H's scale: the whole
+    basis ``_assembled`` chooses (parity broken), or for a transverse field each P_z sector."""
     orbits, mat, scale = _assembled(spec)
+    blocks = [(PARITY_BROKEN, slice(None), mat)]
+    if spec.transverse:
+        sectors = zip((PARITY_EVEN, PARITY_ODD), _sectors(orbits.reps, spec.n_sites))
+        blocks = ((parity, sel, mat[sel][:, sel]) for parity, sel in sectors)
     states = []
-    for parity, sel in zip((PARITY_EVEN, PARITY_ODD), _sectors(orbits.reps, spec.n_sites)):
-        w, v = _lowest_levels(mat[sel][:, sel], min(2, sel.size))
+    for parity, sel, block in blocks:
+        energy, vector, twofold = _ground_level(block, scale)
         amplitudes = np.zeros(orbits.reps.size)
-        amplitudes[sel] = v[:, 0]
-        tied = w.size == 2 and w[1] - w[0] <= DEGENERACY_RTOL * scale
-        states.append(GroundState(float(w[0]), amplitudes, orbits, parity, tied))
-    return states[0], states[1], scale
+        amplitudes[sel] = vector
+        states.append(GroundState(energy, amplitudes, orbits, parity, twofold))
+    return states, scale
 
 
 def ground_state(spec: SpinChainSpec) -> GroundState:
     """Exact ground state of the chain.
 
-    H is assembled and solved in the basis ``_assembled`` chooses.  Transverse
-    fields are diagonalized per parity block; when the two block minima agree
-    within 1e-10 of the Hamiltonian scale the state is flagged degenerate and
-    both definite-parity side limits are attached (even first); a twofold
-    lowest level inside the lower block (odd antiferromagnetic rings), or
-    inside either block at a tie, is flagged without side limits.  Other fields
+    Combines the block states of ``_block_states``.  Transverse fields have
+    one per parity block; when the two block minima agree within 1e-10 of the
+    Hamiltonian scale the state is flagged degenerate and both
+    definite-parity side limits are attached (even first); a twofold lowest
+    level inside the lower block (odd antiferromagnetic rings), or inside
+    either block at a tie, is flagged without side limits.  Other fields
     break the symmetry: parity is marked broken, and ``degenerate`` reads the
-    two lowest levels in that basis (a level outside it could only be a lower
-    second one, and Perron-Frobenius keeps every such level above the ground
-    level).  Every solve is dense up to ``DENSE_MAX_DIM``, Lanczos above.
+    two lowest levels in the one block (a level outside it could only be a
+    lower second one, and Perron-Frobenius keeps every such level above the
+    ground level).
     """
-    if spec.transverse:
-        even, odd, scale = _sector_ground_states(spec)
-        lower = even if even.energy <= odd.energy else odd
-        if abs(even.energy - odd.energy) > DEGENERACY_RTOL * scale:
-            return lower
-        if even.degenerate or odd.degenerate:  # a level of more than two states
-            return replace(lower, degenerate=True)
-        side = (replace(even, degenerate=True), replace(odd, degenerate=True))
-        return replace(lower, degenerate=True, side_limits=side)
-    orbits, mat, scale = _assembled(spec)
-    w, v = _lowest_levels(mat, 2)
-    degenerate = abs(w[1] - w[0]) <= DEGENERACY_RTOL * scale
-    # A copy, so that the state does not keep the other eigenvectors alive through a view.
-    return GroundState(float(w[0]), v[:, 0].copy(), orbits, PARITY_BROKEN, degenerate)
+    states, scale = _block_states(spec)
+    lower = min(states, key=lambda state: state.energy)  # the even sector on a tie
+    if len(states) == 1 or abs(states[0].energy - states[1].energy) > DEGENERACY_RTOL * scale:
+        return lower
+    if any(state.degenerate for state in states):  # a level of more than two states
+        return replace(lower, degenerate=True)
+    side = tuple(replace(state, degenerate=True) for state in states)
+    return replace(lower, degenerate=True, side_limits=side)
 
 
 def parity_sector_energies(spec: SpinChainSpec) -> tuple[float, float]:
     """Lowest energy in the even and odd parity sectors (transverse only)."""
     if not spec.transverse:
         raise UnsupportedGeometry("parity sectors require a transverse field")
-    even, odd, _ = _sector_ground_states(spec)
+    even, odd = _block_states(spec)[0]
     return even.energy, odd.energy
 
 

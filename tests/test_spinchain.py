@@ -224,7 +224,7 @@ class TestParityCrossings:
         def refused(*args, **kwargs):
             raise AssertionError("the crossing scan ran an eigensolve")
 
-        monkeypatch.setattr(spinchain, "_lowest_levels", refused)
+        monkeypatch.setattr(spinchain, "_ground_level", refused)
         crossings = parity_crossings(SpinChainSpec(n_sites=8, j_x=1.0, chi=0.5), 0.0, 1.25, points=2000)
         assert len(crossings) == 4
 
