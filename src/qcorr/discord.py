@@ -42,6 +42,9 @@ GRID_REFINE = "grid_refine"
 #: Marginal purity threshold: below it the B marginal is effectively pure,
 #: correlations vanish and every direction is optimal.
 DEGENERATE_MARGINAL_TOL = 1e-9
+#: Joint purity threshold: with the largest eigenvalue within it of 1 the state
+#: is pure, S(A|B_k) = 0 for every k, and the discord is reported at k = z.
+PURE_TOL = 1e-12
 #: Eigenvalue window treated as an exact tie when selecting the optimizer.
 TIE_TOL = 1e-10
 #: Lowest grid local minima refined together.  Competing basins can lie
@@ -196,6 +199,8 @@ def _optimize(jobs, cfg: SearchConfig | None = None) -> list[OptimizationResult]
             if measure == "D":
                 s_b = spectrum_entropy(np.linalg.eigvalsh(ctx.dec.rho_b), VON_NEUMANN)
                 value = _clip_noise(value - float(joint - s_b))
+                if ctx.joint_spectrum[-1] > 1.0 - PURE_TOL:
+                    k = np.array([0.0, 0.0, 1.0])
             elif measure == "I":
                 value, mode = _clip_noise(value - float(joint)), "deficit"
             rows.append((value, ctx.canonical(k), GRID_REFINE, mode))

@@ -154,12 +154,14 @@ class _Orbits:
     """Dihedral orbits of the 2^N basis states, or their singletons: each orbit's
     least state (``reps``, ascending), the orbit of every state (``index``), the
     states per orbit (``size``) and each state's weight ``|O|^-1/2`` in the isometry
-    V onto the normalized orbit sums (``weight``), so ``V @ x = x[index] * weight``."""
+    V onto the normalized orbit sums (``weight``), so ``V @ x = x[index] * weight``;
+    ``symmetric`` unless the orbits are singletons."""
 
     reps: np.ndarray
     index: np.ndarray
     size: np.ndarray
     weight: np.ndarray
+    symmetric: bool
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +181,7 @@ def _orbits(n: int, symmetric: bool) -> _Orbits:
     weight = size[index] ** -0.5
     for array in (reps, index, size, weight):
         array.setflags(write=False)
-    return _Orbits(reps, index, size, weight)
+    return _Orbits(reps, index, size, weight, symmetric)
 
 
 def _matrix(spec: SpinChainSpec, orbits: _Orbits) -> tuple[np.ndarray | sp.csr_matrix, np.ndarray]:
@@ -257,23 +259,34 @@ def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _sectors(np.arange(1 << n), n)
 
 
-def _ground_level(block: np.ndarray | sp.csr_matrix, scale: float) -> tuple[float, np.ndarray, bool]:
+def _ground_level(
+    block: np.ndarray | sp.csr_matrix, scale: float, simple: bool
+) -> tuple[float, np.ndarray, bool]:
     """Lowest eigenvalue of a real symmetric block, its eigenvector, and whether it is
     twofold: a second level within ``DEGENERACY_RTOL * scale`` of it.
 
     Every eigensolve of the chain goes through here: numpy's LAPACK ``eigh`` up
-    to ``DENSE_MAX_DIM``, Lanczos (ARPACK, which loads scipy) above it.
+    to ``DENSE_MAX_DIM``, Lanczos (ARPACK, which loads scipy) above it.  A
+    Krylov space grown from one start vector holds one direction of a twofold
+    level, so unless the block is known to have a ``simple`` ground level,
+    Lanczos also reads the lowest level of ``block + scale u u^T`` (u the
+    vector found) from an independent start: it is the level's other direction.
     """
     dim = block.shape[0]
     if dim <= DENSE_MAX_DIM:
         w, v = np.linalg.eigh(block if isinstance(block, np.ndarray) else block.toarray())
     else:
-        from scipy.sparse.linalg import eigsh
+        from scipy.sparse.linalg import LinearOperator, eigsh
 
         # A fixed start vector keeps ARPACK, and so the sweep output, deterministic.
         w, v = eigsh(block, k=2, which="SA", v0=np.random.default_rng(0).normal(size=dim))
         order = np.argsort(w)
         w, v = w[order], v[:, order]
+        if not simple:
+            u = v[:, 0]
+            deflated = LinearOperator(block.shape, lambda x: block @ x + scale * u * (u @ x), dtype=float)
+            v1 = np.random.default_rng(1).normal(size=dim)
+            w[1] = min(w[1], eigsh(deflated, k=1, which="SA", v0=v1)[0][0])
     return float(w[0]), v[:, 0], bool(w.size > 1 and w[1] - w[0] <= DEGENERACY_RTOL * scale)
 
 
@@ -281,13 +294,18 @@ def _block_states(spec: SpinChainSpec) -> tuple[list[GroundState], float]:
     """Each block's ground state, ``degenerate`` on a twofold level, and H's scale: the whole
     basis ``_assembled`` chooses (parity broken), or for a transverse field each P_z sector."""
     orbits, mat, scale = _assembled(spec)
+    # Perron-Frobenius: a stoquastic block (its orbits symmetric) whose off-diagonal graph is
+    # connected has a simple ground level.  h_x > 0 flips single spins; J_x != 0 and |chi| < 1
+    # make both bond flips nonzero, which connects each P_z sector.
+    j_x, chi, h_x = spec.j_x, spec.chi, spec.field[0]
+    simple = orbits.symmetric and (h_x > 0.0 or (j_x != 0.0 and abs(chi) < 1.0))
     blocks = [(PARITY_BROKEN, slice(None), mat)]
     if spec.transverse:
         sectors = zip((PARITY_EVEN, PARITY_ODD), _sectors(orbits.reps, spec.n_sites))
         blocks = ((parity, sel, mat[sel][:, sel]) for parity, sel in sectors)
     states = []
     for parity, sel, block in blocks:
-        energy, vector, twofold = _ground_level(block, scale)
+        energy, vector, twofold = _ground_level(block, scale, simple)
         amplitudes = np.zeros(orbits.reps.size)
         amplitudes[sel] = vector
         states.append(GroundState(energy, amplitudes, orbits, parity, twofold))
@@ -362,21 +380,30 @@ def parity_crossings(
     Evaluates the energy splitting on a uniform grid from Jordan-Wigner
     fermions (``_sector_splitting``), records grid points where it is exactly
     zero, and bisects every cell whose upper end changes sign against its
-    lower end, all cells together, to ``CROSSING_TOL``.  ``spec.field`` is
-    ignored, and ``h_min < h_max`` and ``points >= 2`` are required
-    (``ValueError``).  The ED sector energies are the oracle it is tested against.
+    lower end, all cells together, to ``CROSSING_TOL``.  For odd N the spin
+    flip maps each P_z sector onto the other and h_z onto -h_z, so the
+    splitting is odd in h_z: a range holding 0 reports exactly 0.0, once, as
+    a grid point where the splitting is set to 0 rather than left to the
+    rounding sign.  ``spec.field`` is ignored, and ``h_min < h_max`` and
+    ``points >= 2`` are required (``ValueError``).  The ED sector energies are
+    the oracle it is tested against.
     """
     if not h_min < h_max or points < 2:
         raise ValueError(f"need h_min < h_max and points >= 2, got [{h_min}, {h_max}], {points}")
     grid = np.linspace(h_min, h_max, points)
+    zero_field = spec.n_sites % 2 == 1 and h_min <= 0.0 <= h_max
+    if zero_field:
+        grid = np.union1d(grid, 0.0)
     split = _sector_splitting(spec, grid)
+    if zero_field:
+        split[grid == 0.0] = 0.0
     cells = np.flatnonzero(split[:-1] * split[1:] < 0.0)
     lo, hi, sign = grid[cells], grid[cells + 1], split[cells]
     while (open_ := hi - lo > CROSSING_TOL).any():
         mid = 0.5 * (lo + hi)
         below = sign * _sector_splitting(spec, mid) < 0.0
         hi, lo = np.where(open_ & below, mid, hi), np.where(open_ & ~below, mid, lo)
-    return np.sort(np.concatenate([grid[:-1][split[:-1] == 0.0], 0.5 * (lo + hi)]))
+    return np.sort(np.concatenate([grid[split == 0.0], 0.5 * (lo + hi)]))
 
 
 def reduced_pair(gs: GroundState, i: int, j: int) -> DensityMatrix:
@@ -425,6 +452,8 @@ def canted_qubit(theta: float) -> np.ndarray:
 
     This is the fixed rotation convention for the factorized-state algebra:
     angle theta from the -z axis in the xz plane with positive x component.
+    The chain's spins, in a field along +z, cant from +z instead: they are
+    these states with sigma^x applied.
     """
     return np.array([np.sin(0.5 * theta), np.cos(0.5 * theta)], dtype=complex)
 
@@ -438,6 +467,9 @@ def rho_theta(theta: float, n_sites: int | None = None):
     ``(rho_theta, (rho_plus, rho_minus))``, adding the pair states of the exact
     definite-parity chains |theta>^N +/- |-theta>^N, with c = cos(theta):
     [|uu><uu| + |dd><dd| +/- c^(N-2) (|uu><dd| + h.c.)] / (2 (1 +/- c^N)).
+    The qubits cant from -z (``canted_qubit``), so the chain's ED side limits
+    at h_zs are these states with sigma^x applied on both sites, which
+    changes no measure.
     """
     if not 0.0 < theta <= 0.5 * np.pi:
         raise InvalidTheta(f"theta must be in (0, pi/2], got {theta}")

@@ -79,6 +79,8 @@ class TestDiscord:
             res = discord(rho, LAY22)
             assert abs(res.value - s_a) < 1e-8
             assert abs(res.value - s_b) < 1e-8
+            # S(A|B_k) = 0 for every k on a pure state, so no direction is singled out
+            assert res.k_star.k.tolist() == [0.0, 0.0, 1.0]
 
     def test_nonnegative_and_reevaluates(self):
         rng = np.random.default_rng(4)

@@ -180,6 +180,70 @@ class TestGroundState:
         assert abs(concurrence(reduced_pair(minus, 0, 1)) - c_minus) < 1e-9
 
 
+#: Fields of the twofold-level checks: tilted, then transverse.
+TWOFOLD_FIELDS = [(0.1, 0.0, 0.3), (0.05, 0.0, 0.5), (0.3, 0.0, 0.4), (0.0, 0.0, 0.1), (0.0, 0.0, 0.3), (0.0, 0.0, 0.5)]
+
+
+def lanczos_blocks(spec) -> int:
+    """The number of blocks of the chain that are solved by Lanczos."""
+    orbits = spinchain._assembled(spec)[0]
+    sizes = [sel.size for sel in spinchain._sectors(orbits.reps, spec.n_sites)]
+    return sum(size > spinchain.DENSE_MAX_DIM for size in (sizes if spec.transverse else [sum(sizes)]))
+
+
+class TestTwofoldLevels:
+    """A twofold block level is flagged at Lanczos size as it is densely (odd j_x < 0 rings)."""
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_forced_lanczos_blocks_match_dense(self, monkeypatch, n):
+        # one start vector grows a Krylov space with one direction of a twofold level;
+        # every block here goes through Lanczos, and about half of them are twofold
+        monkeypatch.setattr(spinchain, "DENSE_MAX_DIM", 8)
+        for chi in (0.3, 0.5, 0.9):
+            for field in TWOFOLD_FIELDS:
+                spec = SpinChainSpec(n, -1.0, chi, field)
+                orbits, mat, scale = spinchain._assembled(spec)
+                sels = spinchain._sectors(orbits.reps, n) if spec.transverse else [slice(None)]
+                for sel, state in zip(sels, spinchain._block_states(spec)[0]):
+                    w = np.linalg.eigvalsh(dense(mat)[sel][:, sel])
+                    assert abs(state.energy - w[0]) < 1e-12 * scale, (chi, field)
+                    assert state.degenerate == (w[1] - w[0] <= spinchain.DEGENERACY_RTOL * scale), (chi, field)
+
+    def test_lanczos_tilted_twofold_level(self):
+        # the full 512-state basis of a frustrated N = 9 ring, whose lowest level is twofold;
+        # the flagged state keeps the vector it was read with, an eigenvector of that level
+        spec = SpinChainSpec(9, -1.0, 0.3, (0.1, 0.0, 0.3))
+        gs = ground_state(spec)
+        ham = build_hamiltonian(spec)
+        w = np.linalg.eigvalsh(ham)
+        scale = np.abs(ham).sum(axis=1).max()
+        assert w[1] - w[0] <= spinchain.DEGENERACY_RTOL * scale
+        assert gs.degenerate and gs.side_limits is None
+        assert abs(gs.energy - w[0]) < 1e-12 * scale
+        assert np.linalg.norm(ham @ gs.vector - gs.energy * gs.vector) < 1e-9 * scale
+
+    def test_one_lanczos_solve_per_simple_block(self, monkeypatch):
+        # the benchmark's chains (j_x = 1, chi = 0.5, h_x >= 0) have simple ground levels
+        # (Perron-Frobenius), so each Lanczos block runs one eigsh; a j_x < 0 block runs two
+        import scipy.sparse.linalg
+
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: calls.append(1) or eigsh(*a, **k))
+        tilt = lambda g, h: (h * np.sin(np.deg2rad(g)), 0.0, h * np.cos(np.deg2rad(g)))  # noqa: E731
+        specs = [SpinChainSpec(12, 1.0, 0.5, (0.0, 0.0, h)) for h in (0.2, np.sqrt(0.5), 1.2)]
+        specs += [SpinChainSpec(12, 1.0, 0.5, tilt(g, 1.0)) for g in (0.0, 25.0)]
+        specs += [SpinChainSpec(14, 1.0, 0.5, tilt(g, 1.0)) for g in (10.0, 20.0, 30.0, 40.0)]
+        for spec in specs:
+            calls.clear()
+            ground_state(spec)
+            assert len(calls) == lanczos_blocks(spec), spec
+        assert sum(lanczos_blocks(spec) for spec in specs) == 5
+        calls.clear()
+        ground_state(SpinChainSpec(9, -1.0, 0.3, (0.1, 0.0, 0.3)))
+        assert len(calls) == 2
+
+
 class TestParityCrossings:
     def test_n6_crossing_count_and_last(self):
         spec = SpinChainSpec(n_sites=6, j_x=1.0, chi=0.5)
@@ -227,6 +291,25 @@ class TestParityCrossings:
         monkeypatch.setattr(spinchain, "_ground_level", refused)
         crossings = parity_crossings(SpinChainSpec(n_sites=8, j_x=1.0, chi=0.5), 0.0, 1.25, points=2000)
         assert len(crossings) == 4
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+    def test_odd_ring_crosses_at_zero_field(self, n):
+        # spin flip maps one P_z sector onto the other and h_z onto -h_z, so for odd N
+        # E_even - E_odd is odd in h_z; a range holding 0 reports it exactly, once,
+        # whatever the rounding sign of the splitting there
+        if n <= 7:
+            e_even, e_odd = parity_sector_energies(SpinChainSpec(n, -1.0, 0.5, (0.0, 0.0, 0.3)))
+            assert np.allclose(parity_sector_energies(SpinChainSpec(n, -1.0, 0.5, (0.0, 0.0, -0.3))),
+                               (e_odd, e_even), rtol=0.0, atol=1e-12)
+        for chi in (0.3, 0.5, 0.9, -0.5, 1.5):
+            for j_x in (1.0, -1.0):
+                crossings = parity_crossings(SpinChainSpec(n, j_x, chi), 0.0, 1.5, points=500)
+                assert crossings[0] == 0.0 and (crossings[1:] > 1e-3).all(), (chi, j_x)
+        spec = SpinChainSpec(n, 1.0, 0.5)
+        for h_min, h_max in ((-0.3, 0.3), (-0.3, 0.0), (-0.2, 0.3)):
+            assert np.count_nonzero(parity_crossings(spec, h_min, h_max, points=200) == 0.0) == 1
+        both = parity_crossings(spec, -1.5, 1.5, points=2001)
+        assert np.abs(both + both[::-1]).max() < spinchain.CROSSING_TOL
 
     @pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
     def test_crossings_bracket_a_sign_change(self, n):

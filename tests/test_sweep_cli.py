@@ -273,6 +273,13 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["h_zs"] - np.sqrt(0.5)) < 1e-12
 
+    def test_limits_pure_side_limits_report_z(self, capsys):
+        # at N = 2 both side limits are pure: every direction is optimal for the discord
+        assert main(["limits", "--chi", "0.5", "--n", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for side in ("side_plus", "side_minus"):
+            assert (payload[side]["D"]["theta"], payload[side]["D"]["phi"]) == (0.0, 0.0)
+
     def test_limits_bad_chi(self, capsys):
         assert main(["limits", "--chi", "1.5", "--n", "8"]) == 2
         # chi = 1 has no factorizing field
