@@ -19,7 +19,6 @@ import sys
 from dataclasses import replace
 
 from .errors import QcorrError, SweepConfigError
-from .spinchain import MAX_SITES
 from .statekit import BipartiteLayout, from_json
 from .sweep import ALL_MEASURES, load_config, measure_state, render_csv, report_limits, run_sweep
 
@@ -66,8 +65,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_limits(args) -> int:
     if not 0.0 < args.chi < 1.0:  # chi = 1 has no factorizing field
         raise SweepConfigError(f"chi must be in (0, 1), got {args.chi}")
-    if not 2 <= args.n <= MAX_SITES:
-        raise SweepConfigError(f"n must be in 2..{MAX_SITES}, got {args.n}")
+    if args.n < 2:  # the side limits are closed forms, so any ring of 2 or more sites
+        raise SweepConfigError(f"n must be at least 2, got {args.n}")
     print(json.dumps(report_limits(args.chi, args.n), indent=2))
     return EXIT_OK
 

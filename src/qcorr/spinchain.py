@@ -9,21 +9,20 @@ that every formula here assumes, with S^u = sigma^u / 2, a field h in the xz
 plane and J_y = chi * J_x.  H is solved in the span of the orbit sums of the
 ring's rotations and reflection (the dihedral group), which holds its ground
 level when H is stoquastic ((J_x = 0 or J_x > 0 and |chi| <= 1) and
-h_x >= 0), and in the full basis otherwise.  Either way the matrix is
-assembled directly in that basis, by applying H to one representative state
-of each orbit (singletons for the full basis), as a numpy array solved by
-``eigh`` up to ``DENSE_MAX_DIM`` columns and as a sparse one solved by
-Lanczos, the only use of scipy, above.  For a transverse field the z spin
-parity P_z = prod_i(-2 S_i^z) commutes with H, so diagonalization proceeds per
-parity block.  Each block is also a quadratic fermion problem
-after a Jordan-Wigner transformation, and the crossing scan takes the two
-sector energies from that solution, with no eigensolve; the block
-diagonalization is the oracle it is tested against.  The last crossing sits
-at the transverse factorizing field h_zs = J_x sqrt(chi),
-where two completely separable ground states with per-site cant angle theta
-(cos theta = sqrt(chi)) become degenerate; a field tilted by gamma < theta
-from the z axis instead admits a single separable ground state at the
-magnitude h_zs sin(theta)/sin(theta - gamma).
+h_x >= 0), and in the full basis otherwise.  For a transverse field the z spin
+parity P_z = prod_i(-2 S_i^z) commutes with H and each P_z sector is a block of
+its own; otherwise the whole basis is one block.  Each block is assembled
+directly, by applying H to one representative state of each of its orbits
+(singletons for the full basis), as a numpy array solved by ``eigh`` up to
+``DENSE_MAX_DIM`` columns and as a sparse one solved by Lanczos, the only use
+of scipy, above.  Each P_z sector is also a quadratic fermion problem after a
+Jordan-Wigner transformation, and the crossing scan takes the two sector
+energies from that solution, with no eigensolve; the block diagonalization is
+the oracle it is tested against.  The last crossing sits at the transverse
+factorizing field h_zs = J_x sqrt(chi), where two completely separable ground
+states with per-site cant angle theta (cos theta = sqrt(chi)) become
+degenerate; a field tilted by gamma < theta from the z axis instead admits a
+single separable ground state at the magnitude h_zs sin(theta)/sin(theta - gamma).
 
 Site ordering follows the package convention: site 0 is the slowest index,
 so basis state r has bit (r >> (N - 1 - i)) & 1 at site i, with bit 0 the
@@ -49,6 +48,7 @@ from .statekit import DensityMatrix, make_density
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+    Matrix = np.ndarray | sp.csr_matrix  # an assembled block: numpy up to DENSE_MAX_DIM, CSR above
 
 MAX_SITES = 14
 #: Largest matrix solved densely: above it Lanczos wins (dim 128: numpy ``eigh`` 1.8 ms
@@ -92,8 +92,9 @@ class GroundState:
     the chain was solved on, and ``vector`` is their gather ``V @ amplitudes``.
     ``parity`` is +1 or -1 for transverse fields and 0 when the field breaks
     the symmetry.  At a parity crossing ``degenerate`` is set and
-    ``side_limits`` carries the even- and odd-parity states whose reduced
-    pairs are the physical side limits.
+    ``side_limits`` carries the even- and odd-parity states, each its sector's
+    simple level, whose reduced pairs are the physical side limits.  Set
+    without side limits, ``degenerate`` marks a level no one vector stands for.
     """
 
     energy: float
@@ -184,67 +185,70 @@ def _orbits(n: int, symmetric: bool) -> _Orbits:
     return _Orbits(reps, index, size, weight, symmetric)
 
 
-def _matrix(spec: SpinChainSpec, orbits: _Orbits) -> tuple[np.ndarray | sp.csr_matrix, np.ndarray]:
-    """``V^T H V``, and the elements of H in its representative columns (row 0 the diagonal).
+def _matrix(spec: SpinChainSpec, orbits: _Orbits, block: np.ndarray) -> tuple[Matrix, float]:
+    """``V^T H V`` on the orbits at the table positions ``block`` (which H keeps), and the
+    largest absolute column sum of H there.
 
-    H is applied to each representative r_b.  Rotations and the reflection
-    commute with H, so ``<a|H|b> = sqrt(|O_b| / |O_a|) sum_{s in O_a} H_{s, r_b}``:
-    each image is mapped to its orbit and weighted, and duplicates are summed.
-    With singleton orbits every weight is 1 and this is H itself.  It is a
-    numpy array up to ``DENSE_MAX_DIM`` columns, CSR above.
+    H is applied to each representative r_b.  Rotations and the reflection commute with H,
+    so ``<a|H|b> = sqrt(|O_b| / |O_a|) sum_{s in O_a} H_{s, r_b}``: each image is mapped to
+    its orbit's row in ``block`` and weighted, and duplicates are summed.  With singleton
+    orbits this is H itself.  A numpy array up to ``DENSE_MAX_DIM`` columns, CSR above.
     """
-    n, states = spec.n_sites, orbits.reps
+    n, states = spec.n_sites, orbits.reps[block]
     h_x, _, h_z = spec.field
     zvals = 1.0 - 2.0 * _site_bits(states, n)  # sigma_z eigenvalue per site
     # Field along z: diagonal -h_z/2 * sum_i sigma_z.
-    images, values = [states], [-0.5 * h_z * zvals.sum(axis=1)]
+    images, values = [states[None]], [-0.5 * h_z * zvals.sum(axis=1)[None]]
     # Field along x: single bit flips, element -h_x/2.
     if h_x != 0.0:
-        for i in range(n):
-            images.append(states ^ (1 << (n - 1 - i)))
-            values.append(np.full(states.size, -0.5 * h_x))
+        images.append(states ^ (1 << (n - 1 - np.arange(n)))[:, None])
+        values.append(np.full((n, states.size), -0.5 * h_x))
     # Ring bonds (i, i + 1 mod N), of which N = 2 has one: double bit flips
     # with elements -Jx/4 + Jy z_i z_j / 4.
-    for i in range(n if n > 2 else 1):
-        j = (i + 1) % n
-        images.append(states ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j))))
-        values.append(-0.25 * spec.j_x + 0.25 * (spec.chi * spec.j_x) * (zvals[:, i] * zvals[:, j]))
-    rows, values = orbits.index[np.array(images)], np.array(values)
-    cols = np.broadcast_to(np.arange(states.size), rows.shape)
-    weighted = values * np.sqrt(orbits.size[cols] / orbits.size[rows])
-    shape = (states.size,) * 2
+    i = np.arange(n if n > 2 else 1)
+    j = (i + 1) % n
+    images.append(states ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j)))[:, None])
+    values.append(-0.25 * spec.j_x + 0.25 * (spec.chi * spec.j_x) * (zvals[:, i] * zvals[:, j]).T)
+    row_of = np.zeros(orbits.reps.size, dtype=int)
+    row_of[block] = np.arange(states.size)  # each orbit's row in the block, which H keeps
+    rows, values = row_of[orbits.index[np.concatenate(images)]], np.concatenate(values)
+    cols, sizes = np.broadcast_to(np.arange(states.size), rows.shape), orbits.size[block]
+    weighted = values * np.sqrt(sizes[cols] / sizes[rows])
+    shape, col_sum = (states.size,) * 2, float(np.abs(values).sum(axis=0).max())
     if states.size <= DENSE_MAX_DIM:
         mat = np.zeros(shape)
         np.add.at(mat, (rows, cols), weighted)
-        return mat, values
+        return mat, col_sum
     import scipy.sparse as sp
 
-    return sp.csr_matrix((weighted.ravel(), (rows.ravel(), cols.ravel())), shape=shape), values
+    return sp.csr_matrix((weighted.ravel(), (rows.ravel(), cols.ravel())), shape=shape), col_sum
 
 
-def _assembled(spec: SpinChainSpec) -> tuple[_Orbits, np.ndarray | sp.csr_matrix, float]:
-    """The orbits chosen for H, ``V^T H V``, and H's scale, its largest absolute row sum.
+def _assembled(spec: SpinChainSpec) -> tuple[_Orbits, list[tuple[int, np.ndarray, Matrix]], float]:
+    """The orbits chosen for H, its blocks ``(parity, positions, V^T H V)`` and its scale.
 
-    V is the isometry onto the dihedral orbit sums when no off-diagonal
-    element of H is positive, the identity otherwise.  Those elements,
-    ``-J_x (1 -/+ chi) / 4`` on the bonds (equal and unequal bits) and
-    ``-h_x / 2``, keep their signs when rounded.  Such an H is stoquastic: it
-    and each parity block have a nonnegative ground vector (Perron-Frobenius),
-    whose average over the rotations and the reflection, which permute basis
-    states, commute with H and keep the parity, lies in the span of the orbit
-    sums.  The columns of H at the chosen representatives hold all of its
-    elements and, H being symmetric, its largest absolute row sum.
+    V is the isometry onto the dihedral orbit sums when no off-diagonal element of H is
+    positive, the identity otherwise.  Those elements, ``-J_x (1 -/+ chi) / 4`` on the bonds
+    (equal and unequal bits) and ``-h_x / 2``, keep their signs when rounded.  Such an H is
+    stoquastic: it and each parity block have a nonnegative ground vector (Perron-Frobenius),
+    whose average over the rotations and the reflection, which permute basis states, commute
+    with H and keep the parity, lies in the span of the orbit sums.  The blocks are the whole
+    table (parity broken) or, for a transverse field, the two P_z sectors.  Their columns
+    hold all of H's elements and, H being symmetric, its largest absolute row sum: the scale.
     """
     j_x, chi, h_x = spec.j_x, spec.chi, spec.field[0]
     stoquastic = (j_x == 0.0 or (j_x > 0.0 and abs(chi) <= 1.0)) and h_x >= 0.0
     orbits = _orbits(spec.n_sites, stoquastic)
-    mat, values = _matrix(spec, orbits)
-    return orbits, mat, max(float(np.abs(values).sum(axis=0).max()), 1e-30)
+    parities, blocks = (PARITY_BROKEN,), [np.arange(orbits.reps.size)]
+    if spec.transverse:
+        parities, blocks = (PARITY_EVEN, PARITY_ODD), _sectors(orbits.reps, spec.n_sites)
+    mats, col_sums = zip(*(_matrix(spec, orbits, block) for block in blocks))
+    return orbits, list(zip(parities, blocks, mats)), max(*col_sums, 1e-30)
 
 
 def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
     """Dense Hamiltonian matrix (real, since the field lies in the xz plane)."""
-    mat = _matrix(spec, _orbits(spec.n_sites, False))[0]
+    mat = _matrix(spec, _orbits(spec.n_sites, False), np.arange(1 << spec.n_sites))[0]
     return mat if isinstance(mat, np.ndarray) else mat.toarray()
 
 
@@ -259,55 +263,48 @@ def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _sectors(np.arange(1 << n), n)
 
 
-def _ground_level(
-    block: np.ndarray | sp.csr_matrix, scale: float, simple: bool
-) -> tuple[float, np.ndarray, bool]:
+def _ground_level(block: Matrix, scale: float, simple: bool) -> tuple[float, np.ndarray, bool]:
     """Lowest eigenvalue of a real symmetric block, its eigenvector, and whether it is
     twofold: a second level within ``DEGENERACY_RTOL * scale`` of it.
 
-    Every eigensolve of the chain goes through here: numpy's LAPACK ``eigh`` up
-    to ``DENSE_MAX_DIM``, Lanczos (ARPACK, which loads scipy) above it.  A
-    Krylov space grown from one start vector holds one direction of a twofold
-    level, so unless the block is known to have a ``simple`` ground level,
-    Lanczos also reads the lowest level of ``block + scale u u^T`` (u the
-    vector found) from an independent start: it is the level's other direction.
+    Every eigensolve of the chain goes through here, in the form ``_matrix`` built: numpy's
+    LAPACK ``eigh`` for an array, Lanczos (ARPACK) for CSR.  A Krylov space grown from one
+    start vector holds one direction of a twofold level, so unless the block is known to
+    have a ``simple`` ground level, Lanczos also reads the lowest level of
+    ``block + scale u u^T`` (u the vector found) from an independent start: it is the
+    level's other direction.
     """
-    dim = block.shape[0]
-    if dim <= DENSE_MAX_DIM:
-        w, v = np.linalg.eigh(block if isinstance(block, np.ndarray) else block.toarray())
+    if isinstance(block, np.ndarray):
+        w, v = np.linalg.eigh(block)
     else:
         from scipy.sparse.linalg import LinearOperator, eigsh
 
+        dim = block.shape[0]
         # A fixed start vector keeps ARPACK, and so the sweep output, deterministic.
         w, v = eigsh(block, k=2, which="SA", v0=np.random.default_rng(0).normal(size=dim))
         order = np.argsort(w)
         w, v = w[order], v[:, order]
         if not simple:
             u = v[:, 0]
-            deflated = LinearOperator(block.shape, lambda x: block @ x + scale * u * (u @ x), dtype=float)
+            op = LinearOperator(block.shape, lambda x: block @ x + scale * u * (u @ x), dtype=float)
             v1 = np.random.default_rng(1).normal(size=dim)
-            w[1] = min(w[1], eigsh(deflated, k=1, which="SA", v0=v1)[0][0])
+            w[1] = min(w[1], eigsh(op, k=1, which="SA", v0=v1)[0][0])
     return float(w[0]), v[:, 0], bool(w.size > 1 and w[1] - w[0] <= DEGENERACY_RTOL * scale)
 
 
 def _block_states(spec: SpinChainSpec) -> tuple[list[GroundState], float]:
-    """Each block's ground state, ``degenerate`` on a twofold level, and H's scale: the whole
-    basis ``_assembled`` chooses (parity broken), or for a transverse field each P_z sector."""
-    orbits, mat, scale = _assembled(spec)
+    """Each ``_assembled`` block's ground state, ``degenerate`` if twofold, and H's scale."""
+    orbits, blocks, scale = _assembled(spec)
     # Perron-Frobenius: a stoquastic block (its orbits symmetric) whose off-diagonal graph is
     # connected has a simple ground level.  h_x > 0 flips single spins; J_x != 0 and |chi| < 1
     # make both bond flips nonzero, which connects each P_z sector.
     j_x, chi, h_x = spec.j_x, spec.chi, spec.field[0]
     simple = orbits.symmetric and (h_x > 0.0 or (j_x != 0.0 and abs(chi) < 1.0))
-    blocks = [(PARITY_BROKEN, slice(None), mat)]
-    if spec.transverse:
-        sectors = zip((PARITY_EVEN, PARITY_ODD), _sectors(orbits.reps, spec.n_sites))
-        blocks = ((parity, sel, mat[sel][:, sel]) for parity, sel in sectors)
     states = []
-    for parity, sel, block in blocks:
-        energy, vector, twofold = _ground_level(block, scale, simple)
+    for parity, block, mat in blocks:
+        energy, vector, twofold = _ground_level(mat, scale, simple)
         amplitudes = np.zeros(orbits.reps.size)
-        amplitudes[sel] = vector
+        amplitudes[block] = vector
         states.append(GroundState(energy, amplitudes, orbits, parity, twofold))
     return states, scale
 
@@ -332,8 +329,7 @@ def ground_state(spec: SpinChainSpec) -> GroundState:
         return lower
     if any(state.degenerate for state in states):  # a level of more than two states
         return replace(lower, degenerate=True)
-    side = tuple(replace(state, degenerate=True) for state in states)
-    return replace(lower, degenerate=True, side_limits=side)
+    return replace(lower, degenerate=True, side_limits=tuple(states))
 
 
 def parity_sector_energies(spec: SpinChainSpec) -> tuple[float, float]:
@@ -407,13 +403,17 @@ def parity_crossings(
 
 
 def reduced_pair(gs: GroundState, i: int, j: int) -> DensityMatrix:
-    """Two-site reduced state of the ground vector at sites (i, j)."""
+    """Two-site reduced state of the ground level at sites (i, j); a ``degenerate`` level with
+    no side limits (momenta +-k) averages sites (t, t + j - i mod N), t first, over the N
+    translations, which for the real vector found gives the level's equal mixture."""
     n = gs.n_sites
     if not (0 <= i < j < n):
         raise IndexOutOfRange(f"need 0 <= i < j < {n}, got ({i}, {j})")
     psi = gs.vector.reshape((2,) * n)
-    psi = np.moveaxis(psi, (i, j), (0, 1)).reshape(4, -1)
-    return make_density(psi @ psi.conj().T)
+    level = gs.degenerate and gs.side_limits is None
+    sites = [(t, (t + j - i) % n) for t in range(n)] if level else [(i, j)]
+    cols = np.concatenate([np.moveaxis(psi, pair, (0, 1)).reshape(4, -1) for pair in sites], axis=1)
+    return make_density(cols @ cols.conj().T / len(sites))
 
 
 def _h_s_magnitude(theta: float, h_zs: float, gamma: float) -> float:

@@ -22,7 +22,7 @@ from qcorr.deficit import (
     stationarity_residual,
 )
 from qcorr.discord import SearchConfig
-from qcorr.entropy import QUADRATIC, VON_NEUMANN, entropy, f_prime_matrix, tsallis
+from qcorr.entropy import QUADRATIC, VON_NEUMANN, entropy, f_prime_matrix, renyi, tsallis
 from qcorr.errors import InvalidQ, UnsupportedFamily, ZeroEigenvalueLog
 from qcorr.measurement import unread_state
 from qcorr.statekit import (
@@ -214,6 +214,13 @@ class TestRenyiDeficit:
             r2 = renyi_deficit(rho, LAY22, 2.0)
             t2 = quadratic_deficit_closed(rho, LAY22)
             assert np.abs(r2.k_star.k - t2.k_star.k).max() < 1e-8
+
+    def test_deficit_hands_renyi_over(self):
+        # deficit(rho, layout, renyi(q)) is renyi_deficit(rho, layout, q), for a searched q too
+        rng = np.random.default_rng(12)
+        for q in (0.5, 2.0, 3.0):
+            rho = random_density(rng, 4)
+            assert deficit(rho, LAY22, renyi(q)) == renyi_deficit(rho, LAY22, q)
 
     def test_value_formula_at_optimum(self):
         rng = np.random.default_rng(11)

@@ -246,6 +246,11 @@ class TestEllipsoid:
         joint = tensor(random_density(rng, 2), random_density(rng, 2))
         ell = ellipsoid(joint, LAY22)
         assert np.abs(ell.semi_axes).max() < 1e-12
+        # a pure B marginal has no whitening: the ellipsoid is the point r_a, flagged
+        a = random_density(rng, 2)
+        ell = ellipsoid(tensor(a, make_density(np.diag([1.0, 0.0]))), LAY22)
+        assert ell.degenerate_marginal and (ell.semi_axes == 0.0).all()
+        assert np.abs(ell.center - [np.trace(a.entries @ p).real for p in PAULI3]).max() < 1e-12
 
     def test_rank_one_correlation(self):
         # Classical correlation along one axis leaves one nonzero semi-axis.

@@ -5,6 +5,7 @@ from helpers import family_id, random_density, random_pure
 from qcorr.entropy import (
     QUADRATIC,
     VON_NEUMANN,
+    EntropyFunctional,
     binary_entropy,
     concurrence,
     entanglement_of_formation,
@@ -100,6 +101,8 @@ class TestEntropy:
         out = spectrum_entropy(lams, VON_NEUMANN)
         assert out.shape == (2,)
         assert abs(out[0] - 1.0) < 1e-12 and abs(out[1]) < 1e-12
+        with pytest.raises(UnsupportedFamily):
+            spectrum_entropy(lams, EntropyFunctional("shannon"))
 
 
 class TestFPrime:

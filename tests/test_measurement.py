@@ -57,8 +57,9 @@ class TestMeasurementDirection:
         assert pole.theta == 0.0 and pole.phi == 0.0
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            MeasurementDirection(np.zeros(3))
+        for bad in (np.zeros(3), np.array([0.0, 1.0])):  # zero, or not a 3-vector
+            with pytest.raises(ValueError):
+                MeasurementDirection(bad)
 
 
 class TestProjectivePovm:
@@ -67,6 +68,8 @@ class TestProjectivePovm:
         mats = [q * projector(k) for q, k in povm.elements()]
         assert np.allclose(mats[0], np.diag([1.0, 0.0]))
         assert np.allclose(mats[1], np.diag([0.0, 1.0]))
+        # a direction that is not a unit vector is normalized first
+        assert np.array_equal(projector(np.array([0.0, 0.0, 2.0])), projector(np.array([0.0, 0.0, 1.0])))
 
     def test_x_axis_projectors(self):
         povm = projective_povm(np.array([1.0, 0.0, 0.0]))
@@ -90,8 +93,15 @@ class TestProjectivePovm:
         assert np.abs(total - np.eye(2)).max() < 1e-10
 
     def test_incomplete_povm_rejected(self):
-        with pytest.raises(ValueError):
-            QubitPOVM(weights=np.array([1.0]), directions=np.array([[0.0, 0.0, 1.0]]))
+        z, minus_z = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+        for weights, directions in (
+            ([1.0], [z]),  # incomplete
+            ([1.0, 1.0], [z]),  # a direction short
+            ([2.0, 0.0], [z, minus_z]),  # a weight that is not positive
+            ([1.0, 1.0], [[0.0, 0.0, 2.0], minus_z]),  # a direction that is not a unit vector
+        ):
+            with pytest.raises(ValueError):
+                QubitPOVM(weights=np.array(weights), directions=np.array(directions))
 
 
 class TestConditionOnMeasurement:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import free_fermion_sector_energy, kron_hamiltonian, kron_parity
+from helpers import free_fermion_sector_energy, kron_hamiltonian, kron_parity, twofold_mixture_pairs
 from qcorr import spinchain
 from qcorr.deficit import quadratic_deficit_closed
 from qcorr.discord import discord
@@ -83,6 +83,8 @@ class TestBuildHamiltonian:
     def test_field_must_be_in_xz_plane(self):
         with pytest.raises(ValueError):
             SpinChainSpec(n_sites=4, field=(0.0, 0.3, 0.0))
+        with pytest.raises(ValueError):  # and a ring has at least 2 sites
+            SpinChainSpec(n_sites=1)
 
 
 class TestGroundState:
@@ -180,6 +182,12 @@ class TestGroundState:
         assert abs(concurrence(reduced_pair(minus, 0, 1)) - c_minus) < 1e-9
 
 
+#: Odd j_x = -1 rings whose lowest level is exactly twofold, at momenta +-k: (N, chi, field).
+TWOFOLD_RINGS = {
+    "n7-transverse": (7, 0.5, (0.0, 0.0, 0.3)),
+    "n9-transverse": (9, 0.5, (0.0, 0.0, 0.1)),
+    "n9-tilted": (9, 0.3, (0.1, 0.0, 0.3)),
+}
 #: Fields of the twofold-level checks: tilted, then transverse.
 TWOFOLD_FIELDS = [(0.1, 0.0, 0.3), (0.05, 0.0, 0.5), (0.3, 0.0, 0.4), (0.0, 0.0, 0.1), (0.0, 0.0, 0.3), (0.0, 0.0, 0.5)]
 
@@ -202,10 +210,9 @@ class TestTwofoldLevels:
         for chi in (0.3, 0.5, 0.9):
             for field in TWOFOLD_FIELDS:
                 spec = SpinChainSpec(n, -1.0, chi, field)
-                orbits, mat, scale = spinchain._assembled(spec)
-                sels = spinchain._sectors(orbits.reps, n) if spec.transverse else [slice(None)]
-                for sel, state in zip(sels, spinchain._block_states(spec)[0]):
-                    w = np.linalg.eigvalsh(dense(mat)[sel][:, sel])
+                _, blocks, scale = spinchain._assembled(spec)
+                for (_, _, mat), state in zip(blocks, spinchain._block_states(spec)[0], strict=True):
+                    w = np.linalg.eigvalsh(dense(mat))
                     assert abs(state.energy - w[0]) < 1e-12 * scale, (chi, field)
                     assert state.degenerate == (w[1] - w[0] <= spinchain.DEGENERACY_RTOL * scale), (chi, field)
 
@@ -221,6 +228,16 @@ class TestTwofoldLevels:
         assert gs.degenerate and gs.side_limits is None
         assert abs(gs.energy - w[0]) < 1e-12 * scale
         assert np.linalg.norm(ham @ gs.vector - gs.energy * gs.vector) < 1e-9 * scale
+
+    @pytest.mark.parametrize("n, chi, field", TWOFOLD_RINGS.values(), ids=TWOFOLD_RINGS.keys())
+    def test_twofold_pair_is_the_level_mixture(self, n, chi, field):
+        # the vector read is one real vector of the +-k level, not translation invariant;
+        # reduced_pair averages its pair over the ring's translations: the level's mixture
+        spec = SpinChainSpec(n, -1.0, chi, field)
+        gs = ground_state(spec)
+        assert gs.degenerate and gs.side_limits is None
+        for sep, pair in twofold_mixture_pairs(build_hamiltonian(spec), n).items():
+            assert np.abs(reduced_pair(gs, 0, sep).entries - pair.entries).max() < 1e-12, sep
 
     def test_one_lanczos_solve_per_simple_block(self, monkeypatch):
         # the benchmark's chains (j_x = 1, chi = 0.5, h_x >= 0) have simple ground levels
@@ -258,6 +275,8 @@ class TestParityCrossings:
         e_even, e_odd = parity_sector_energies(spec)
         gs = ground_state(spec)
         assert abs(min(e_even, e_odd) - gs.energy) < 1e-12
+        with pytest.raises(UnsupportedGeometry):  # a tilted field mixes the sectors
+            parity_sector_energies(SpinChainSpec(n, 1.0, 0.5, (0.1, 0.0, 0.2)))
 
     def test_n10_crossing_count(self):
         # crossings are ~0.1 apart here, so a coarse scan resolves them all
@@ -507,16 +526,28 @@ class TestSolveBasis:
     def test_assembly_matches_kronecker_oracle(self, n, j_x, chi, field):
         spec = SpinChainSpec(n, j_x, chi, field)
         ham = kron_hamiltonian(spec)
-        orbits, projected, scale = spinchain._assembled(spec)
+        orbits, blocks, scale = spinchain._assembled(spec)
         basis = isometry(orbits)
         stoquastic = (ham - np.diag(np.diag(ham))).max() <= 0.0
         assert orbits is spinchain._orbits(n, stoquastic)
-        assert np.abs(dense(projected) - basis.T @ ham @ basis).max() <= 1e-14
+        # each block is the oracle's block at its positions, assembled in the form it is
+        # solved in, and the blocks tile V^T H V: nothing of it lies between them
+        projected = np.zeros((orbits.reps.size,) * 2)
+        for parity, positions, mat in blocks:
+            assert isinstance(mat, np.ndarray) == (positions.size <= spinchain.DENSE_MAX_DIM)
+            projected[np.ix_(positions, positions)] = dense(mat)
+        assert np.abs(projected - basis.T @ ham @ basis).max() <= 1e-14
         assert abs(scale - np.abs(ham).sum(axis=1).max()) <= 1e-14 * scale
         even, odd = spinchain._sectors(orbits.reps, n)
         signs = np.sign(basis.T @ kron_parity(n))
         assert even.size + odd.size == basis.shape[1]
         assert (signs[even] == 1.0).all() and (signs[odd] == -1.0).all()
+        parities = [parity for parity, _, _ in blocks]
+        tiles = np.concatenate([positions for _, positions, _ in blocks])
+        if spec.transverse:
+            assert parities == [1, -1] and (tiles == np.concatenate([even, odd])).all()
+        else:
+            assert parities == [0] and (tiles == np.arange(basis.shape[1])).all()
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_tilted_second_level_lies_in_momentum_zero(self, n):
@@ -527,7 +558,7 @@ class TestSolveBasis:
                     g = np.deg2rad(gamma)
                     spec = SpinChainSpec(n, 1.0, chi, (h_mag * np.sin(g), 0.0, h_mag * np.cos(g)))
                     ham = kron_hamiltonian(spec)
-                    _, projected, _ = spinchain._assembled(spec)
+                    [(_, _, projected)] = spinchain._assembled(spec)[1]  # one block, parity broken
                     low = np.linalg.eigvalsh(dense(projected))[:2]
                     full = np.linalg.eigvalsh(ham)[:2]
                     assert np.abs(low - full).max() < 1e-12
@@ -590,6 +621,14 @@ class TestFactorizingField:
     def test_gamma_too_large(self):
         with pytest.raises(GammaTooLarge):
             factorizing_field(0.5, 1.0, np.pi / 4)
+        with pytest.raises(GammaTooLarge):
+            factorizing_field(0.5, 1.0, -0.1)
+
+    def test_outside_the_factorizing_family(self):
+        # a factorizing field needs chi in (0, 1] and a ferromagnetic j_x > 0
+        for chi, j_x in ((0.0, 1.0), (1.5, 1.0), (-0.5, 1.0), (0.5, 0.0), (0.5, -1.0)):
+            with pytest.raises(ValueError):
+                factorizing_field(chi, j_x)
 
     def test_small_gamma_limit(self):
         fac = factorizing_field(0.5, 1.0)

@@ -97,6 +97,8 @@ class TestPartialTrace:
         rho = make_density(np.eye(4) / 4)
         with pytest.raises(LayoutMismatch):
             partial_trace(rho, BipartiteLayout(3, 2), "A")
+        with pytest.raises(ValueError):
+            partial_trace(rho, BipartiteLayout(2, 2), "C")
 
 
 class TestGellmannBasis:
@@ -105,6 +107,10 @@ class TestGellmannBasis:
         assert np.allclose(ops[0], [[0, 1], [1, 0]])
         assert np.allclose(ops[1], [[0, -1j], [1j, 0]])
         assert np.allclose(ops[2], [[1, 0], [0, -1]])
+
+    def test_needs_two_levels(self):
+        with pytest.raises(ValueError):
+            gellmann_basis(1)
 
     def test_qutrit_count_and_norm(self):
         ops = gellmann_basis(3).ops
@@ -227,6 +233,7 @@ class TestJson:
             {"dim": 2, "entries": [["0.5", 0.0]] + pairs[1:]},
             {"dim": 2, "entries": [[0.5, 0.0, 0.0]] + pairs[1:]},
             {"dim": 2, "entries": [[float("nan"), 0.0]] + pairs[1:]},
+            {"dim": 2, "entries": [[10**400, 0.0]] + pairs[1:]},  # an integer no float holds
         ):
             with pytest.raises(ValueError):
                 from_json(json.dumps(bad))

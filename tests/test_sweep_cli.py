@@ -7,12 +7,18 @@ import textwrap
 import numpy as np
 import pytest
 
+from helpers import twofold_mixture_pairs
+from qcorr import sweep
 from qcorr.cli import main
+from qcorr.deficit import quadratic_deficit_closed
+from qcorr.entropy import concurrence
+from qcorr.spinchain import build_hamiltonian
 from qcorr.errors import SweepConfigError, TooLarge
-from qcorr.statekit import make_density, to_json
+from qcorr.statekit import BipartiteLayout, make_density, to_json
 from qcorr.sweep import parse_config, render_csv, report_limits, run_sweep
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+LAY22 = BipartiteLayout(2, 2)
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -52,6 +58,15 @@ class TestConfigValidation:
         with pytest.raises(SweepConfigError):
             parse_config(base_config(output=5))
 
+    def test_missing_or_misshapen_sections(self):
+        payload = base_config()
+        del payload["sweep"]
+        no_chi = base_config(chain={"n_sites": 8})
+        theta = base_config(sweep={"variable": "theta", "from": 0.3, "to": 0.4, "points": 2})
+        for bad in ([base_config()], payload, no_chi, theta):
+            with pytest.raises(SweepConfigError):
+                parse_config(bad)
+
     def test_unknown_nested_key(self):
         payload = base_config()
         payload["chain"]["coupling"] = 2.0
@@ -64,7 +79,7 @@ class TestConfigValidation:
                 parse_config(base_config(measures=measures))
 
     def test_bad_separation(self):
-        for separations in ([5], 2, ["x"], [1.5], [True], [1.5, True], [1, 1]):
+        for separations in ([5], 2, ["x"], [1.5], [True], [1.5, True], [1, 1], []):
             with pytest.raises(SweepConfigError):
                 parse_config(base_config(separations=separations))
 
@@ -118,6 +133,7 @@ class TestConfigValidation:
                 parse_config(payload)
         for search in (
             {"grid_theta": 10.5},
+            {"grid_theta": 4},
             {"grid_phi": True},
             {"refine_max_iter": 2.5},
             {"refine_tol": float("nan")},
@@ -168,6 +184,32 @@ class TestRunSweep:
         assert abs(rows[0].cells[(1, "concurrence")].value - 0.0588235) < 1e-6
         assert abs(rows[1].cells[(1, "concurrence")].value - 0.0666667) < 1e-6
 
+    @pytest.mark.parametrize(
+        "n, chi, sweep_section, fixed",
+        [
+            (7, 0.5, {"variable": "h_z", "from": 0.1, "to": 0.3, "points": 2}, {}),
+            (9, 0.5, {"variable": "h_z", "from": 0.1, "to": 0.3, "points": 2}, {}),
+            (9, 0.3, {"variable": "gamma", "from": float(np.degrees(np.arctan(1 / 3))), "to": 30.0,
+                      "points": 2}, {"h_mag": float(np.hypot(0.1, 0.3))}),
+        ],
+        ids=["n7-transverse", "n9-transverse", "n9-tilted"],
+    )
+    def test_twofold_rows_measure_the_level(self, n, chi, sweep_section, fixed):
+        # an odd j_x = -1 ring's lowest level is twofold (momenta +-k) with no side limits: its
+        # row measures the level's equal mixture, not one vector the solver happened to return
+        cfg = parse_config(base_config(
+            chain={"n_sites": n, "j_x": -1.0, "chi": chi}, sweep=sweep_section, fixed=fixed,
+            separations=list(range(1, n // 2 + 1)), measures=["I2", "concurrence"],
+        ))
+        for row in run_sweep(cfg):
+            assert row.degenerate and row.branch == ""
+            ham = build_hamiltonian(sweep._spec_at(cfg, row.variable_value))
+            for sep, pair in twofold_mixture_pairs(ham, n).items():
+                if sep in cfg.separations:
+                    i2 = quadratic_deficit_closed(pair, LAY22).value
+                    assert abs(row.cells[(sep, "I2")].value - i2) < 1e-10, (row.variable_value, sep)
+                    assert abs(row.cells[(sep, "concurrence")].value - concurrence(pair)) < 1e-10
+
     def test_gamma_sweep_runs(self):
         payload = base_config()
         payload["sweep"] = {"variable": "gamma", "from": 10.0, "to": 20.0, "points": 3}
@@ -208,7 +250,7 @@ class TestSweepPhenomenology:
 class TestPairObservables:
     def test_bundle(self):
         from qcorr.spinchain import SpinChainSpec, ground_state
-        from qcorr.sweep import pair_observables
+        from qcorr.sweep import measure_state, pair_observables
 
         spec = SpinChainSpec(n_sites=6, j_x=1.0, chi=0.5, field=(0.0, 0.0, 0.4))
         obs = pair_observables(ground_state(spec), 0, 2, measures=("D", "I2", "eof"))
@@ -217,6 +259,8 @@ class TestPairObservables:
         assert set(obs.measures) == {"D", "I2", "eof"}
         assert obs.measures["D"].value >= 0.0
         assert obs.measures["eof"].theta is None
+        with pytest.raises(ValueError):
+            measure_state(obs.rho_pair, "magic")
 
 
 class TestStraddlingRows:
@@ -286,8 +330,12 @@ class TestCli:
         assert main(["limits", "--chi", "1.0", "--n", "8"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    def test_limits_too_many_sites(self, capsys):
-        assert main(["limits", "--chi", "0.5", "--n", "15"]) == 2
+    def test_limits_any_ring_of_two_or_more_sites(self, capsys):
+        # the side limits are closed forms in N, so no chain size caps them
+        assert main(["limits", "--chi", "0.5", "--n", "40"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_sites"] == 40
+        assert main(["limits", "--chi", "0.5", "--n", "1"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
     def test_sweep_command(self, tmp_path, capsys):
@@ -297,6 +345,10 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 0
         assert out_path.exists()
         assert len(out_path.read_text().splitlines()) == 3
+        capsys.readouterr()
+        # without --out or an output in the config, the CSV goes to stdout
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == out_path.read_text()
 
     def test_sweep_bad_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -456,6 +508,9 @@ IMPORT_BOUNDARY = textwrap.dedent(
         "search": {"grid_theta": 16, "grid_phi": 32},
     })
     assert len(qcorr.run_sweep(cfg)) == 2
+    # the N = 12 orbit sectors (122 and 102 columns) and the N = 8 full-basis ones (128 each)
+    qcorr.ground_state(qcorr.SpinChainSpec(12, 1.0, 0.5, (0.0, 0.0, 0.4)))
+    qcorr.ground_state(qcorr.SpinChainSpec(8, -1.0, 0.5, (0.0, 0.0, 0.4)))
     assert scipy_modules() == [], scipy_modules()[:3]
     g = np.deg2rad(20.0)
     qcorr.ground_state(qcorr.SpinChainSpec(14, 1.0, 0.5, (0.8 * np.sin(g), 0.0, 0.8 * np.cos(g))))
@@ -465,7 +520,8 @@ IMPORT_BOUNDARY = textwrap.dedent(
 
 
 def test_scipy_loads_only_for_lanczos():
-    # measures, limits and chains up to N = 10 run on numpy alone; an N = 14 solve is Lanczos
+    # measures, limits and chains whose blocks have at most 128 columns run on numpy alone;
+    # an N = 14 solve is Lanczos
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
