@@ -74,9 +74,12 @@ class SearchConfig:
     refine_max_iter: int = 200
 
     def __post_init__(self):
+        counts = (self.grid_theta, self.grid_phi, self.refine_max_iter)
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in counts):
+            raise ValueError(f"grid sizes and iteration budget must be integers, got {counts}")
         if self.grid_theta < 8 or self.grid_phi < 8:
             raise ValueError("grids must have at least 8 points per angle")
-        if self.refine_tol <= 0.0 or self.refine_max_iter <= 0:
+        if not 0.0 < self.refine_tol < np.inf or self.refine_max_iter <= 0:
             raise ValueError("refinement tolerance and iteration budget must be positive")
 
 

@@ -74,10 +74,12 @@ class SpinChainSpec:
     field: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        if isinstance(self.n_sites, bool) or not isinstance(self.n_sites, (int, np.integer)):
+            raise ValueError(f"n_sites must be an integer, got {self.n_sites!r}")
         if self.n_sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.n_sites}")
-        if abs(self.field[1]) > 0.0:
-            raise ValueError("field must lie in the xz plane (h_y = 0)")
+        if not np.isfinite([self.j_x, self.chi, *self.field]).all() or self.field[1] != 0.0:
+            raise ValueError(f"need finite j_x, chi and field with h_y = 0, got {self}")
 
     @property
     def transverse(self) -> bool:
@@ -92,9 +94,10 @@ class GroundState:
     the chain was solved on, and ``vector`` is their gather ``V @ amplitudes``.
     ``parity`` is +1 or -1 for transverse fields and 0 when the field breaks
     the symmetry.  At a parity crossing ``degenerate`` is set and
-    ``side_limits`` carries the even- and odd-parity states, each its sector's
-    simple level, whose reduced pairs are the physical side limits.  Set
-    without side limits, ``degenerate`` marks a level no one vector stands for.
+    ``side_limits`` carries the even- and odd-parity states, whose reduced
+    pairs are the physical side limits.  Elsewhere, and on each side limit,
+    ``degenerate`` marks a twofold level of the state's own block, which no
+    one vector stands for.
     """
 
     energy: float
@@ -185,17 +188,27 @@ def _orbits(n: int, symmetric: bool) -> _Orbits:
     return _Orbits(reps, index, size, weight, symmetric)
 
 
-def _matrix(spec: SpinChainSpec, orbits: _Orbits, block: np.ndarray) -> tuple[Matrix, float]:
-    """``V^T H V`` on the orbits at the table positions ``block`` (which H keeps), and the
-    largest absolute column sum of H there.
+def _assembled(spec: SpinChainSpec, orbits: _Orbits | None = None) -> tuple[_Orbits, list, float]:
+    """The orbit table of H, its blocks ``(parity, positions, V^T H V)`` and its scale.
 
-    H is applied to each representative r_b.  Rotations and the reflection commute with H,
-    so ``<a|H|b> = sqrt(|O_b| / |O_a|) sum_{s in O_a} H_{s, r_b}``: each image is mapped to
-    its orbit's row in ``block`` and weighted, and duplicates are summed.  With singleton
-    orbits this is H itself.  A numpy array up to ``DENSE_MAX_DIM`` columns, CSR above.
+    Unless ``orbits`` is given, V is the isometry onto the dihedral orbit sums when no
+    off-diagonal element of H is positive, the identity otherwise.  Those elements,
+    ``-J_x (1 -/+ chi) / 4`` on the bonds (equal and unequal bits) and ``-h_x / 2``, keep their
+    signs when rounded.  Such an H is stoquastic: it and each parity block have a nonnegative
+    ground vector (Perron-Frobenius), whose average over the rotations and the reflection,
+    which permute basis states, commute with H and keep the parity, lies in the span of the
+    orbit sums.  H is applied once to every representative r_b, so by those symmetries
+    ``<a|H|b> = sqrt(|O_b| / |O_a|) sum_{s in O_a} H_{s, r_b}``.  The columns are split into
+    the blocks, the whole table (parity broken) or for a transverse field the two P_z sectors,
+    each image weighted and mapped to its orbit's row in the block (H keeps each block), and
+    duplicates summed: a numpy array up to ``DENSE_MAX_DIM`` columns, CSR above.  The columns
+    hold all of H's elements and, H being symmetric, its largest absolute row sum: the scale.
     """
-    n, states = spec.n_sites, orbits.reps[block]
-    h_x, _, h_z = spec.field
+    n, j_x, chi, (h_x, _, h_z) = spec.n_sites, spec.j_x, spec.chi, spec.field
+    if orbits is None:
+        stoquastic = (j_x == 0.0 or (j_x > 0.0 and abs(chi) <= 1.0)) and h_x >= 0.0
+        orbits = _orbits(n, stoquastic)
+    states = orbits.reps
     zvals = 1.0 - 2.0 * _site_bits(states, n)  # sigma_z eigenvalue per site
     # Field along z: diagonal -h_z/2 * sum_i sigma_z.
     images, values = [states[None]], [-0.5 * h_z * zvals.sum(axis=1)[None]]
@@ -208,48 +221,37 @@ def _matrix(spec: SpinChainSpec, orbits: _Orbits, block: np.ndarray) -> tuple[Ma
     i = np.arange(n if n > 2 else 1)
     j = (i + 1) % n
     images.append(states ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j)))[:, None])
-    values.append(-0.25 * spec.j_x + 0.25 * (spec.chi * spec.j_x) * (zvals[:, i] * zvals[:, j]).T)
-    row_of = np.zeros(orbits.reps.size, dtype=int)
-    row_of[block] = np.arange(states.size)  # each orbit's row in the block, which H keeps
-    rows, values = row_of[orbits.index[np.concatenate(images)]], np.concatenate(values)
-    cols, sizes = np.broadcast_to(np.arange(states.size), rows.shape), orbits.size[block]
-    weighted = values * np.sqrt(sizes[cols] / sizes[rows])
-    shape, col_sum = (states.size,) * 2, float(np.abs(values).sum(axis=0).max())
-    if states.size <= DENSE_MAX_DIM:
-        mat = np.zeros(shape)
-        np.add.at(mat, (rows, cols), weighted)
-        return mat, col_sum
-    import scipy.sparse as sp
-
-    return sp.csr_matrix((weighted.ravel(), (rows.ravel(), cols.ravel())), shape=shape), col_sum
-
-
-def _assembled(spec: SpinChainSpec) -> tuple[_Orbits, list[tuple[int, np.ndarray, Matrix]], float]:
-    """The orbits chosen for H, its blocks ``(parity, positions, V^T H V)`` and its scale.
-
-    V is the isometry onto the dihedral orbit sums when no off-diagonal element of H is
-    positive, the identity otherwise.  Those elements, ``-J_x (1 -/+ chi) / 4`` on the bonds
-    (equal and unequal bits) and ``-h_x / 2``, keep their signs when rounded.  Such an H is
-    stoquastic: it and each parity block have a nonnegative ground vector (Perron-Frobenius),
-    whose average over the rotations and the reflection, which permute basis states, commute
-    with H and keep the parity, lies in the span of the orbit sums.  The blocks are the whole
-    table (parity broken) or, for a transverse field, the two P_z sectors.  Their columns
-    hold all of H's elements and, H being symmetric, its largest absolute row sum: the scale.
-    """
-    j_x, chi, h_x = spec.j_x, spec.chi, spec.field[0]
-    stoquastic = (j_x == 0.0 or (j_x > 0.0 and abs(chi) <= 1.0)) and h_x >= 0.0
-    orbits = _orbits(spec.n_sites, stoquastic)
-    parities, blocks = (PARITY_BROKEN,), [np.arange(orbits.reps.size)]
+    values.append(-0.25 * j_x + 0.25 * (chi * j_x) * (zvals[:, i] * zvals[:, j]).T)
+    parities, blocks = (PARITY_BROKEN,), [np.arange(states.size)]
     if spec.transverse:
-        parities, blocks = (PARITY_EVEN, PARITY_ODD), _sectors(orbits.reps, spec.n_sites)
-    mats, col_sums = zip(*(_matrix(spec, orbits, block) for block in blocks))
-    return orbits, list(zip(parities, blocks, mats)), max(*col_sums, 1e-30)
+        parities, blocks = (PARITY_EVEN, PARITY_ODD), _sectors(states, n)
+    row_of = np.zeros(states.size, dtype=int)
+    for block in blocks:
+        row_of[block] = np.arange(block.size)  # each orbit's row in its block
+    image_orbits, values = orbits.index[np.concatenate(images)], np.concatenate(values)
+    weighted = values * np.sqrt(orbits.size / orbits.size[image_orbits])
+    mats = []
+    for block in blocks:
+        rows, data = row_of[image_orbits.take(block, axis=1)], weighted.take(block, axis=1)
+        cols, shape = np.broadcast_to(np.arange(block.size), rows.shape), (block.size,) * 2
+        if block.size <= DENSE_MAX_DIM:
+            mats.append(np.zeros(shape))
+            np.add.at(mats[-1], (rows, cols), data)
+        else:
+            import scipy.sparse as sp
+
+            mats.append(sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape))
+    scale = max(float(np.abs(values).sum(axis=0).max()), 1e-30)
+    return orbits, list(zip(parities, blocks, mats)), scale
 
 
 def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
-    """Dense Hamiltonian matrix (real, since the field lies in the xz plane)."""
-    mat = _matrix(spec, _orbits(spec.n_sites, False), np.arange(1 << spec.n_sites))[0]
-    return mat if isinstance(mat, np.ndarray) else mat.toarray()
+    """Dense Hamiltonian matrix (real, as h lies in the xz plane) from its singleton blocks."""
+    orbits, blocks, _ = _assembled(spec, _orbits(spec.n_sites, False))
+    ham = np.zeros((orbits.reps.size,) * 2)
+    for _, states, mat in blocks:
+        ham[np.ix_(states, states)] = mat if isinstance(mat, np.ndarray) else mat.toarray()
+    return ham
 
 
 def _sectors(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +269,7 @@ def _ground_level(block: Matrix, scale: float, simple: bool) -> tuple[float, np.
     """Lowest eigenvalue of a real symmetric block, its eigenvector, and whether it is
     twofold: a second level within ``DEGENERACY_RTOL * scale`` of it.
 
-    Every eigensolve of the chain goes through here, in the form ``_matrix`` built: numpy's
+    Every eigensolve of the chain goes through here, in the form ``_assembled`` built: numpy's
     LAPACK ``eigh`` for an array, Lanczos (ARPACK) for CSR.  A Krylov space grown from one
     start vector holds one direction of a twofold level, so unless the block is known to
     have a ``simple`` ground level, Lanczos also reads the lowest level of
@@ -310,25 +312,23 @@ def _block_states(spec: SpinChainSpec) -> tuple[list[GroundState], float]:
 
 
 def ground_state(spec: SpinChainSpec) -> GroundState:
-    """Exact ground state of the chain.
+    """Exact ground state of the chain: the lower of the block states of ``_block_states``.
 
-    Combines the block states of ``_block_states``.  Transverse fields have
-    one per parity block; when the two block minima agree within 1e-10 of the
-    Hamiltonian scale the state is flagged degenerate and both
-    definite-parity side limits are attached (even first); a twofold lowest
-    level inside the lower block (odd antiferromagnetic rings), or inside
-    either block at a tie, is flagged without side limits.  Other fields
-    break the symmetry: parity is marked broken, and ``degenerate`` reads the
-    two lowest levels in the one block (a level outside it could only be a
-    lower second one, and Perron-Frobenius keeps every such level above the
-    ground level).
+    Transverse fields have one block state per parity sector.  When the two
+    sector minima agree within 1e-10 of the Hamiltonian scale, the sectors
+    cross: the state is flagged degenerate and carries both definite-parity
+    side limits (even first), each flagged ``degenerate`` exactly when its
+    own sector level is twofold.  Otherwise the state is its block's, flagged
+    when that level is twofold (odd antiferromagnetic rings, momenta +-k).
+    Other fields break the symmetry: parity is marked broken, and
+    ``degenerate`` reads the two lowest levels in the one block (a level
+    outside it could only be a lower second one, and Perron-Frobenius keeps
+    every such level above the ground level).
     """
     states, scale = _block_states(spec)
     lower = min(states, key=lambda state: state.energy)  # the even sector on a tie
     if len(states) == 1 or abs(states[0].energy - states[1].energy) > DEGENERACY_RTOL * scale:
         return lower
-    if any(state.degenerate for state in states):  # a level of more than two states
-        return replace(lower, degenerate=True)
     return replace(lower, degenerate=True, side_limits=tuple(states))
 
 
@@ -344,7 +344,7 @@ def _sector_splitting(spec: SpinChainSpec, fields: np.ndarray) -> np.ndarray:
     """E_even - E_odd of the transverse ring at each field, from Jordan-Wigner fermions.
 
     With sigma^z = 1 - 2 c^dag c each P_z sector is a quadratic fermion
-    Hamiltonian (Lieb, Schultz and Mattis 1961) on ``_matrix``'s bonds, the
+    Hamiltonian (Lieb, Schultz and Mattis 1961) on ``_assembled``'s bonds, the
     wrap bond's sign flipped when the sector's fermion number is even.  Its
     hopping A and pairing B enter through ``M = h_z I + A0 - B``, with
     ``M[i, j] = -s J_y / 2`` and ``M[j, i] = -s J_x / 2`` on bond (i, j).
@@ -381,9 +381,11 @@ def parity_crossings(
     splitting is odd in h_z: a range holding 0 reports exactly 0.0, once, as
     a grid point where the splitting is set to 0 rather than left to the
     rounding sign.  ``spec.field`` is ignored, and ``h_min < h_max`` and
-    ``points >= 2`` are required (``ValueError``).  The ED sector energies are
+    an integer ``points >= 2`` are required (``ValueError``).  The ED sector energies are
     the oracle it is tested against.
     """
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
+        raise ValueError(f"points must be an integer, got {points!r}")
     if not h_min < h_max or points < 2:
         raise ValueError(f"need h_min < h_max and points >= 2, got [{h_min}, {h_max}], {points}")
     grid = np.linspace(h_min, h_max, points)
@@ -403,15 +405,16 @@ def parity_crossings(
 
 
 def reduced_pair(gs: GroundState, i: int, j: int) -> DensityMatrix:
-    """Two-site reduced state of the ground level at sites (i, j); a ``degenerate`` level with
-    no side limits (momenta +-k) averages sites (t, t + j - i mod N), t first, over the N
-    translations, which for the real vector found gives the level's equal mixture."""
+    """Two-site reduced state at sites (i, j).  A crossing state reduces as its side limit of
+    the same parity; a vector whose own block level is twofold (momenta +-k) averages sites
+    (t, t + j - i mod N), t first, over the N translations: the level's equal mixture."""
     n = gs.n_sites
     if not (0 <= i < j < n):
         raise IndexOutOfRange(f"need 0 <= i < j < {n}, got ({i}, {j})")
+    if gs.side_limits is not None:
+        gs = next(side for side in gs.side_limits if side.parity == gs.parity)
     psi = gs.vector.reshape((2,) * n)
-    level = gs.degenerate and gs.side_limits is None
-    sites = [(t, (t + j - i) % n) for t in range(n)] if level else [(i, j)]
+    sites = [(t, (t + j - i) % n) for t in range(n)] if gs.degenerate else [(i, j)]
     cols = np.concatenate([np.moveaxis(psi, pair, (0, 1)).reshape(4, -1) for pair in sites], axis=1)
     return make_density(cols @ cols.conj().T / len(sites))
 

@@ -301,7 +301,7 @@ def pair_observables(
 def _rows_for_point(cfg: SweepConfig, value: float, keys) -> list[SweepRow]:
     try:
         gs = ground_state(_spec_at(cfg, value))
-        if gs.degenerate and gs.side_limits is not None:
+        if gs.side_limits is not None:
             branches = [("+", gs.side_limits[0]), ("-", gs.side_limits[1])]
         else:
             branches = [("", gs)]

@@ -278,15 +278,19 @@ def kron_parity(n: int) -> np.ndarray:
     return out
 
 
-def twofold_mixture_pairs(ham: np.ndarray, n: int) -> dict:
+def twofold_mixture_pairs(ham: np.ndarray, n: int, states=None) -> dict:
     """Pair states of sites (0, L), for every L, of the equal mixture of the two lowest
-    eigenvectors of a dense chain Hamiltonian, from ``np.linalg.eigh``; the lowest level
-    must be exactly twofold."""
-    w, v = np.linalg.eigh(ham)
+    eigenvectors of a dense chain Hamiltonian, or of its block on the basis ``states``
+    (such as a parity sector), from ``np.linalg.eigh``; that lowest level must be exactly
+    twofold."""
+    states = np.arange(len(ham)) if states is None else states
+    w, v = np.linalg.eigh(ham[np.ix_(states, states)])
     scale = np.abs(ham).sum(axis=1).max()
     assert w[1] - w[0] < 1e-12 * scale < w[2] - w[0], w[:3]
+    full = np.zeros((len(ham), 2))
+    full[states] = v[:, :2]
     pairs = {}
     for sep in range(1, n):
-        vecs = [np.moveaxis(v[:, k].reshape((2,) * n), (0, sep), (0, 1)).reshape(4, -1) for k in (0, 1)]
+        vecs = [np.moveaxis(full[:, k].reshape((2,) * n), (0, sep), (0, 1)).reshape(4, -1) for k in (0, 1)]
         pairs[sep] = make_density(0.5 * sum(vec @ vec.T for vec in vecs))
     return pairs

@@ -51,6 +51,12 @@ class TestSearchConfig:
             SearchConfig(grid_theta=4)
         with pytest.raises(ValueError):
             SearchConfig(refine_tol=0.0)
+        # the grid sizes and the iteration budget are integers, the tolerance finite
+        for kwargs in ({"grid_theta": 16.5}, {"grid_phi": 32.0}, {"refine_max_iter": True},
+                       {"refine_tol": np.nan}, {"refine_tol": np.inf}):
+            with pytest.raises(ValueError):
+                SearchConfig(**kwargs)
+        assert SearchConfig(grid_theta=np.int64(16)).grid_theta == 16
 
 
 class TestDiscord:

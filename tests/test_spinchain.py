@@ -85,6 +85,15 @@ class TestBuildHamiltonian:
             SpinChainSpec(n_sites=4, field=(0.0, 0.3, 0.0))
         with pytest.raises(ValueError):  # and a ring has at least 2 sites
             SpinChainSpec(n_sites=1)
+        # what parse_config refuses: a non-integer size, a nonfinite coupling or field
+        # entry (a NaN h_y as well), as the library constructor sees it
+        for kwargs in ({"n_sites": 8.0}, {"n_sites": True}, {"chi": np.nan}, {"j_x": np.inf},
+                       {"field": (0.0, np.nan, 0.3)}, {"field": (np.nan, 0.0, 0.3)},
+                       {"field": (0.0, 0.0, -np.inf)}):
+            with pytest.raises(ValueError):
+                SpinChainSpec(**{"n_sites": 4, **kwargs})
+        gs = ground_state(SpinChainSpec(n_sites=np.int64(4), chi=0.5, field=(0.0, 0.0, 0.3)))
+        assert gs.n_sites == 4
 
 
 class TestGroundState:
@@ -112,12 +121,13 @@ class TestGroundState:
     def test_degenerate_level_inside_a_sector(self):
         # Odd antiferromagnetic rings are frustrated: each parity sector's lowest
         # level is twofold (momenta +-k), so the state returned is one of many and
-        # is flagged, without side limits; at zero field the two sectors also tie.
+        # is flagged, without side limits; at zero field the two sectors also tie,
+        # and a tie is a crossing, with side limits, like any other.
         for n in (5, 7):
             for h_z in (0.0, 0.1, 0.3):
                 gs = ground_state(SpinChainSpec(n_sites=n, j_x=-1.0, chi=0.5, field=(0.0, 0.0, h_z)))
                 assert gs.degenerate, (n, h_z)
-                assert gs.side_limits is None, (n, h_z)
+                assert (gs.side_limits is None) == (h_z != 0.0), (n, h_z)
         gs = ground_state(SpinChainSpec(n_sites=6, j_x=-1.0, chi=0.5, field=(0.0, 0.0, 0.3)))
         assert not gs.degenerate
 
@@ -239,6 +249,25 @@ class TestTwofoldLevels:
         for sep, pair in twofold_mixture_pairs(build_hamiltonian(spec), n).items():
             assert np.abs(reduced_pair(gs, 0, sep).entries - pair.entries).max() < 1e-12, sep
 
+    @pytest.mark.parametrize("chi", [0.3, 0.5])
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_zero_field_tie_is_a_crossing(self, n, chi):
+        # at zero field spin flip maps each P_z sector onto the other, so the two twofold
+        # sector levels tie: a crossing like any other, whose side limits are each flagged
+        # twofold and reduce to their own sector's level mixture
+        spec = SpinChainSpec(n, -1.0, chi, (0.0, 0.0, 0.0))
+        gs = ground_state(spec)
+        assert gs.degenerate and gs.side_limits is not None
+        ham = build_hamiltonian(spec)
+        for side, parity, sector in zip(gs.side_limits, (1, -1), parity_sectors(n), strict=True):
+            assert side.parity == parity and side.degenerate and side.side_limits is None
+            for sep, pair in twofold_mixture_pairs(ham, n, sector).items():
+                assert np.abs(reduced_pair(side, 0, sep).entries - pair.entries).max() < 1e-12, (parity, sep)
+        # the crossing state itself reduces as its side limit of the same parity
+        same = next(side for side in gs.side_limits if side.parity == gs.parity)
+        for sep in range(1, n):
+            assert np.array_equal(reduced_pair(gs, 0, sep).entries, reduced_pair(same, 0, sep).entries)
+
     def test_one_lanczos_solve_per_simple_block(self, monkeypatch):
         # the benchmark's chains (j_x = 1, chi = 0.5, h_x >= 0) have simple ground levels
         # (Perron-Frobenius), so each Lanczos block runs one eigsh; a j_x < 0 block runs two
@@ -298,7 +327,7 @@ class TestParityCrossings:
     def test_refuses_empty_or_descending_range(self):
         # a descending grid never bisects (hi - lo < 0) and one point has no cell
         spec = SpinChainSpec(n_sites=8, j_x=1.0, chi=0.5)
-        for h_min, h_max, points in ((0.75, 0.0, 2000), (0.5, 0.5, 100), (0.0, 0.75, 1)):
+        for h_min, h_max, points in ((0.75, 0.0, 2000), (0.5, 0.5, 100), (0.0, 0.75, 1), (0.0, 0.75, 2.5)):
             with pytest.raises(ValueError):
                 parity_crossings(spec, h_min, h_max, points=points)
 

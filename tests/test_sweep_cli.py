@@ -12,7 +12,7 @@ from qcorr import sweep
 from qcorr.cli import main
 from qcorr.deficit import quadratic_deficit_closed
 from qcorr.entropy import concurrence
-from qcorr.spinchain import build_hamiltonian
+from qcorr.spinchain import build_hamiltonian, parity_sectors
 from qcorr.errors import SweepConfigError, TooLarge
 from qcorr.statekit import BipartiteLayout, make_density, to_json
 from qcorr.sweep import parse_config, render_csv, report_limits, run_sweep
@@ -191,20 +191,27 @@ class TestRunSweep:
             (9, 0.5, {"variable": "h_z", "from": 0.1, "to": 0.3, "points": 2}, {}),
             (9, 0.3, {"variable": "gamma", "from": float(np.degrees(np.arctan(1 / 3))), "to": 30.0,
                       "points": 2}, {"h_mag": float(np.hypot(0.1, 0.3))}),
+            (7, 0.5, {"variable": "h_z", "from": 0.0, "to": 0.3, "points": 2}, {}),
         ],
-        ids=["n7-transverse", "n9-transverse", "n9-tilted"],
+        ids=["n7-transverse", "n9-transverse", "n9-tilted", "n7-zero-field"],
     )
     def test_twofold_rows_measure_the_level(self, n, chi, sweep_section, fixed):
         # an odd j_x = -1 ring's lowest level is twofold (momenta +-k) with no side limits: its
-        # row measures the level's equal mixture, not one vector the solver happened to return
+        # row measures the level's equal mixture, not one vector the solver happened to return;
+        # at zero field the two sectors cross, and each side limit's row measures its sector's
         cfg = parse_config(base_config(
             chain={"n_sites": n, "j_x": -1.0, "chi": chi}, sweep=sweep_section, fixed=fixed,
             separations=list(range(1, n // 2 + 1)), measures=["I2", "concurrence"],
         ))
-        for row in run_sweep(cfg):
-            assert row.degenerate and row.branch == ""
+        rows = run_sweep(cfg)
+        crossing = sweep_section["from"] == 0.0
+        assert [row.branch for row in rows] == (["+", "-", ""] if crossing else ["", ""])
+        even, odd = parity_sectors(n)
+        for row in rows:
+            assert row.degenerate
             ham = build_hamiltonian(sweep._spec_at(cfg, row.variable_value))
-            for sep, pair in twofold_mixture_pairs(ham, n).items():
+            sector = {"": None, "+": even, "-": odd}[row.branch]
+            for sep, pair in twofold_mixture_pairs(ham, n, sector).items():
                 if sep in cfg.separations:
                     i2 = quadratic_deficit_closed(pair, LAY22).value
                     assert abs(row.cells[(sep, "I2")].value - i2) < 1e-10, (row.variable_value, sep)
